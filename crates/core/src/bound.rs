@@ -427,13 +427,9 @@ impl BoundCascade {
             Some(r) => VerifyMode::Banded(sakoe_chiba_width(query.len(), query.len(), r)),
             None => verify,
         };
-        let band = match verify {
-            VerifyMode::Exact => None,
-            VerifyMode::Banded(w) => Some(w),
-        };
         BoundCascade {
             tiers: spec.tiers.iter().map(|t| t.bound()).collect(),
-            query: PreparedQuery::new(query, kind, band),
+            query: PreparedQuery::new(query, kind, verify.band()),
             verify,
             early_abandon: spec.early_abandon,
             envelopes: spec.envelopes.clone(),
@@ -487,7 +483,7 @@ impl BoundCascade {
 }
 
 /// Lemire's LB_Improved as a free function for equal-length sequences under
-/// a Sakoe–Chiba half-width `w` (compare [`crate::lb_keogh`]): Keogh's
+/// a Sakoe–Chiba half-width `w` (compare [`KeoghBound`]): Keogh's
 /// charge of `s` against the envelope of `q`, plus the charge of `q`
 /// against the envelope of `h`, the projection of `s` onto `q`'s envelope.
 /// Lower-bounds the banded distance of the same width, and dominates
@@ -557,12 +553,17 @@ fn min_max(v: &[f64]) -> (f64, f64) {
     (lo, hi)
 }
 
-/// The paper's `D_tw-lb` over raw values (both sides non-empty).
+/// The paper's `D_tw-lb` over raw values (both sides non-empty); the
+/// reference the tier tests pin [`KimBound`] against.
+#[cfg(test)]
 pub(crate) fn kim_value(s: &[f64], q: &[f64]) -> f64 {
     FeatureVector::from_values(s).lb_distance(&FeatureVector::from_values(q))
 }
 
-/// Yi et al.'s bound for the given recurrence (see [`crate::lb_yi`]).
+/// Yi et al.'s scan-time bound for the given recurrence: each element of
+/// one sequence outside the other's value range is charged its distance to
+/// that range. `O(|S| + |Q|)` — the point of LB-Scan is replacing the
+/// `O(|S|·|Q|)` DP with this for most of the database.
 pub(crate) fn yi_value(s: &[f64], q: &[f64], kind: DtwKind) -> f64 {
     let (q_min, q_max) = min_max(q);
     let (s_min, s_max) = min_max(s);
@@ -587,8 +588,12 @@ pub(crate) fn yi_value(s: &[f64], q: &[f64], kind: DtwKind) -> f64 {
     }
 }
 
-/// Keogh's envelope bound given a prebuilt envelope of `q` (see
-/// [`crate::lb_keogh`] for the contract).
+/// Keogh's envelope bound given a prebuilt envelope of `q`: each element of
+/// `s` falling outside the envelope is charged its distance to it.
+/// Lower-bounds the **banded** distance [`crate::distance::dtw_banded`] of
+/// the envelope's half-width, for equal-length sequences. [`KeoghBound`]
+/// evaluates the same charge; this form is pinned by the tests.
+#[cfg(test)]
 pub(crate) fn keogh_value(s: &[f64], lower: &[f64], upper: &[f64], kind: DtwKind) -> f64 {
     finish(kind, charge_raw(s, lower, upper, kind))
 }
@@ -643,6 +648,66 @@ mod tests {
                 (state % 10_000) as f64 / 10_000.0 * scale
             })
             .collect()
+    }
+
+    #[test]
+    fn lb_kim_exact_on_disjoint_ranges() {
+        // Case 1 of Theorem 1's proof: disjoint ranges. The bound equals the
+        // range gap here.
+        let s = [10.0, 11.0, 12.0];
+        let q = [0.0, 1.0, 2.0];
+        assert_eq!(kim_value(&s, &q), 10.0); // first, last, max, min: all 10
+        assert_eq!(dtw(&s, &q, DtwKind::MaxAbs).distance, 10.0);
+    }
+
+    #[test]
+    fn lb_kim_zero_for_warped_pair() {
+        let s = [20.0, 21.0, 21.0, 20.0, 20.0, 23.0, 23.0, 23.0];
+        let q = [20.0, 20.0, 21.0, 20.0, 23.0];
+        assert_eq!(kim_value(&s, &q), 0.0);
+    }
+
+    #[test]
+    fn lb_yi_zero_when_ranges_coincide() {
+        // When the two value ranges coincide no element sticks out of the
+        // other's range, so the purely range-based bound is zero.
+        let s = [1.0, 5.0, 3.0];
+        let q = [1.5, 5.0, 1.0, 4.0];
+        assert_eq!(yi_value(&s, &q, DtwKind::SumAbs), 0.0);
+        assert_eq!(yi_value(&s, &q, DtwKind::MaxAbs), 0.0);
+        // One q element below s's range makes the bound positive.
+        let q2 = [1.5, 5.0, 0.25, 4.0];
+        assert_eq!(yi_value(&s, &q2, DtwKind::SumAbs), 0.75);
+    }
+
+    #[test]
+    fn lb_yi_sum_counts_all_outliers() {
+        let s = [10.0, 10.0, 0.0]; // two elements 4 above q's max of 6
+        let q = [0.0, 6.0];
+        assert_eq!(yi_value(&s, &q, DtwKind::SumAbs), 8.0);
+        assert_eq!(yi_value(&s, &q, DtwKind::MaxAbs), 4.0);
+    }
+
+    #[test]
+    fn lb_kim_vs_lb_yi_tightness_differs() {
+        // LB_Kim sees first/last; LB_Yi only ranges. Shifted endpoints make
+        // LB_Kim strictly tighter.
+        let s = [0.0, 5.0, 0.0];
+        let q = [5.0, 0.0, 5.0];
+        assert_eq!(yi_value(&s, &q, DtwKind::MaxAbs), 0.0);
+        assert_eq!(kim_value(&s, &q), 5.0);
+    }
+
+    #[test]
+    fn lb_keogh_zero_width_is_pointwise() {
+        let s = [1.0, 2.0, 3.0];
+        let q = [1.5, 2.0, 2.0];
+        let (lower, upper) = lemire_envelope(&q, Some(0));
+        assert_eq!(
+            keogh_value(&s, &lower, &upper, DtwKind::SumAbs),
+            0.5 + 0.0 + 1.0
+        );
+        assert_eq!(keogh_value(&s, &lower, &upper, DtwKind::MaxAbs), 1.0);
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //! step keeps the no-false-alarm side intact while it may dismiss matches the
 //! unconstrained distance would accept — the trade-off is measured by the
 //! harness ablations.
+//!
+//! The banded DP is the distance module's one kernel (see `dtw.rs`) run with
+//! `s` driving the steps and `q` in the row buffers; governed, abandonable
+//! banded decisions go through [`super::dtw_decide`] with `band = Some(w)`.
 
-use super::dtw::{dispatch_kind, min3};
+use super::dtw::complete_dp;
 use super::{DtwKind, DtwResult};
-use crate::govern::CancelToken;
 
 /// Half-width that makes a band cover fraction `r` (0..=1) of the longer
 /// sequence, the conventional way band sizes are quoted (e.g. "10% band").
@@ -28,125 +31,14 @@ pub fn sakoe_chiba_width(s_len: usize, q_len: usize, r: f64) -> usize {
 /// Returns `+∞` when the band admits no complete path (never happens for
 /// `w >= 1` because the normalized diagonal itself is always admitted).
 pub fn dtw_banded(s: &[f64], q: &[f64], kind: DtwKind, w: usize) -> DtwResult {
-    dtw_banded_governed(s, q, kind, w, &CancelToken::unlimited()).0
-}
-
-/// [`dtw_banded`] under a query governor: each completed band row charges its
-/// cells against `token`. Returns the (possibly partial) result plus a flag
-/// that is `true` when the token tripped mid-computation — the distance is
-/// then `+∞` and must not be treated as a verdict. With an unlimited token
-/// the behaviour is identical to [`dtw_banded`].
-pub fn dtw_banded_governed(
-    s: &[f64],
-    q: &[f64],
-    kind: DtwKind,
-    w: usize,
-    token: &CancelToken,
-) -> (DtwResult, bool) {
-    if s.is_empty() || q.is_empty() {
-        let distance = if s.len() == q.len() {
-            0.0
-        } else {
-            f64::INFINITY
-        };
-        return (DtwResult { distance, cells: 0 }, false);
-    }
-    let (raw, cells, cancelled) = dispatch_kind!(kind, |step| banded_kernel(s, q, w, token, step));
-    if cancelled {
-        return (
-            DtwResult {
-                distance: f64::INFINITY,
-                cells,
-            },
-            true,
-        );
-    }
-    let distance = match kind {
-        DtwKind::SumSquared if raw.is_finite() => raw.sqrt(),
-        _ => raw,
-    };
-    (DtwResult { distance, cells }, false)
-}
-
-/// The banded two-row DP, monomorphized per recurrence via `dispatch_kind!`.
-/// Row cells are charged against the governor after each completed row, as
-/// before; the returned raw accumulator is pre-scale-conversion.
-fn banded_kernel(
-    s: &[f64],
-    q: &[f64],
-    w: usize,
-    token: &CancelToken,
-    step: impl Fn(f64, f64) -> f64,
-) -> (f64, u64, bool) {
-    let (n, m) = (s.len(), q.len());
-    // For different lengths the band must at least cover the slope gap.
-    let w = w.max(n.abs_diff(m));
-    let mut prev = vec![f64::INFINITY; m + 1];
-    let mut cur = vec![f64::INFINITY; m + 1];
-    if let Some(origin) = prev.first_mut() {
-        *origin = 0.0;
-    }
-    // The column range the previous row actually wrote. Cells outside it are
-    // stale (two rows old), so the O(m) per-row `cur.fill` is replaced by
-    // patching only the read-range cells the previous row left stale —
-    // narrow bands then cost O((n+m)·w) instead of O(n·m). Row 0 (the
-    // boundary row) is fully initialized above, hence the full range.
-    let (mut prev_lo, mut prev_hi) = (0usize, m);
-    let mut cells = 0u64;
-    for (i, &sv) in s.iter().enumerate().map(|(i, sv)| (i + 1, sv)) {
-        // Band column range for row i (normalized diagonal j ≈ i * m / n).
-        let center = i * m / n;
-        let lo = center.saturating_sub(w).max(1);
-        let hi = (center + w).min(m);
-        let row_start = cells;
-        // This row reads `prev` over [lo-1, hi]; any of those cells the
-        // previous row did not write must read as +∞ (the original full-fill
-        // semantics). The band center is nondecreasing, so at most one cell
-        // trails below `prev_lo` and a short run leads past `prev_hi`.
-        let read_lo = lo - 1;
-        if read_lo < prev_lo {
-            let len = prev_lo.min(hi + 1) - read_lo;
-            for slot in prev.iter_mut().skip(read_lo).take(len) {
-                *slot = f64::INFINITY;
-            }
-        }
-        if hi > prev_hi {
-            let start = (prev_hi + 1).max(read_lo);
-            for slot in prev.iter_mut().skip(start).take(hi + 1 - start) {
-                *slot = f64::INFINITY;
-            }
-        }
-        // Walk the band with running `left`/`up_left` cells: zip stays inside
-        // the three rows, so nothing here can go out of bounds.
-        let mut left = f64::INFINITY;
-        let mut up_left = prev.get(lo - 1).copied().unwrap_or(f64::INFINITY);
-        let width = (hi + 1).saturating_sub(lo);
-        let band = q
-            .iter()
-            .skip(lo - 1)
-            .zip(prev.iter().skip(lo).zip(cur.iter_mut().skip(lo)))
-            .take(width);
-        for (qv, (up, cell)) in band {
-            let gap = sv - qv;
-            let val = step(gap, min3(*up, left, up_left));
-            *cell = val;
-            up_left = *up;
-            left = val;
-            cells += 1;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-        (prev_lo, prev_hi) = (lo, hi);
-        if token.charge_cells(cells - row_start) {
-            return (f64::INFINITY, cells, true);
-        }
-    }
-    (prev.last().copied().unwrap_or(f64::INFINITY), cells, false)
+    complete_dp(s, q, kind, w)
 }
 
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // Tests assert exact float round-trips and identities on purpose.
 mod tests {
     use super::super::dtw;
+    use super::super::dtw::min3;
     use super::*;
 
     const KINDS: [DtwKind; 3] = [DtwKind::SumAbs, DtwKind::SumSquared, DtwKind::MaxAbs];
@@ -156,12 +48,14 @@ mod tests {
         let s: Vec<f64> = (0..40).map(|i| (i as f64 * 0.2).sin() * 3.0).collect();
         let q: Vec<f64> = (0..30).map(|i| (i as f64 * 0.25).cos() * 3.0).collect();
         for kind in KINDS {
-            let banded = dtw_banded(&s, &q, kind, 40);
             let full = dtw(&s, &q, kind);
-            assert!(
-                (banded.distance - full.distance).abs() < 1e-9,
-                "{kind:?}: {banded:?} vs {full:?}"
-            );
+            for w in [40, usize::MAX] {
+                let banded = dtw_banded(&s, &q, kind, w);
+                assert!(
+                    (banded.distance - full.distance).abs() < 1e-9,
+                    "{kind:?} w={w}: {banded:?} vs {full:?}"
+                );
+            }
         }
     }
 

@@ -1,18 +1,21 @@
-//! The time-warping distance (Definitions 1 and 2), in three forms:
+//! The time-warping distance (Definitions 1 and 2), in four forms:
 //!
-//! * [`dtw`] — rolling two-row dynamic program, `O(min(|S|,|Q|))` memory;
+//! * [`dtw`] — the exact distance;
 //! * [`dtw_within`] — early-abandoning variant that proves or disproves
 //!   `D_tw <= epsilon` without necessarily completing the table (§4.1 of the
 //!   paper explains why the L∞ recurrence abandons especially early);
+//! * [`dtw_decide`] — the same decision under a query governor, optionally
+//!   banded and with the abandon cutoff switchable; every verifier runs it;
 //! * [`dtw_with_path`] — full-matrix variant recovering the optimal element
 //!   mapping `M`, used by diagnostics and tests.
 //!
-//! The hot paths share one kernel shape: two flat row buffers swapped per
-//! column, a branch-free [`min3`] over the three predecessors, and the
-//! recurrence monomorphized per [`DtwKind`] so the inner loop carries no
-//! `match`. The governed variants preserve their contract exactly — cells
-//! are accounted in whole columns, the abandon check runs before the
-//! governor charge, and verdicts are byte-identical to the naive DP.
+//! Every form but [`dtw_with_path`], and [`super::dtw_banded`] too, runs
+//! one kernel: a two-row DP over a Sakoe–Chiba band, with the unconstrained
+//! distance as the band that admits every cell. It is monomorphized per
+//! [`DtwKind`] and per abandon switch, so the inner loop carries neither a
+//! `match` nor a branch on the switch. Its ledger tells the truth: the
+//! abandon cutoff is checked after every DP step, and the cells it reports
+//! are the cells it computed.
 
 use super::DtwKind;
 use crate::govern::CancelToken;
@@ -35,7 +38,7 @@ pub struct DtwOutcome {
     /// DP cells computed before finishing or abandoning.
     pub cells: u64,
     /// `true` when the computation was cut short by early abandoning
-    /// (a whole DP column exceeded the tolerance); `false` when it ran to
+    /// (a whole DP step exceeded the tolerance); `false` when it ran to
     /// completion, whatever the verdict.
     pub early_abandoned: bool,
     /// `true` when a query budget/deadline cancelled the computation before
@@ -74,7 +77,7 @@ fn threshold(kind: DtwKind, epsilon: f64) -> f64 {
 /// hardware min instructions instead of compare-and-branch — the DP inner
 /// loop stays free of unpredictable branches.
 #[inline(always)]
-pub(crate) fn min3(a: f64, b: f64, c: f64) -> f64 {
+pub(super) fn min3(a: f64, b: f64, c: f64) -> f64 {
     a.min(b).min(c)
 }
 
@@ -99,128 +102,185 @@ macro_rules! dispatch_kind {
         }
     };
 }
-pub(crate) use dispatch_kind;
 
-/// The two-row full DP: `prev`/`cur` are flat row buffers of the shorter
-/// sequence's length, swapped per column of the longer one. Returns the raw
-/// accumulator (pre-[`finish`]) and the cell count (`|rows|` per column).
-fn full_kernel(rows: &[f64], cols: &[f64], step: impl Fn(f64, f64) -> f64) -> (f64, u64) {
-    let m = rows.len();
-    let mut prev = vec![f64::INFINITY; m];
-    let mut cur = vec![f64::INFINITY; m];
-    // The dp[0][0] boundary: 0 before the first column, +inf afterwards.
-    let mut corner = 0.0f64;
-    let mut cells = 0u64;
-    for &c in cols {
-        let mut up_left = corner;
-        let mut left = f64::INFINITY;
-        for (&r, (&up, cell)) in rows.iter().zip(prev.iter().zip(cur.iter_mut())) {
-            let v = step(r - c, min3(up, up_left, left));
-            up_left = up;
-            left = v;
-            *cell = v;
-        }
-        cells += m as u64;
-        corner = f64::INFINITY;
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    (prev.last().copied().unwrap_or(f64::INFINITY), cells)
-}
-
-/// What [`decide_kernel`] concluded, before scale conversion.
-struct Decision {
-    /// The completed raw accumulator; `None` when abandoned or cancelled.
-    raw: Option<f64>,
-    cells: u64,
-    early_abandoned: bool,
-    cancelled: bool,
-}
-
-/// Columns per cache block of [`decide_kernel`]: small enough that the
-/// per-block scratch (`COL_BLOCK` running cells plus column minima) lives in
-/// registers/L1, large enough to amortize the `bound` sweep — each element
-/// of the carried column is now touched once per *block* instead of once per
-/// column, cutting row-buffer traffic by the block factor.
-const COL_BLOCK: usize = 8;
-
-/// The thresholded DP, cache-blocked over columns. Columns are processed
-/// `COL_BLOCK` at a time with the rows of the block walked in one sweep:
-/// `bound` carries the DP column left of the block, `above` holds the
-/// previous row's cells inside the block, and `col_min` accumulates each
-/// block column's minimum for the abandon check.
+/// The one two-row DP behind [`dtw`], [`dtw_decide`] and
+/// [`super::dtw_banded`], monomorphized per recurrence by
+/// `dispatch_kind!` and per abandon switch by `ABANDON`.
 ///
-/// The per-column ledger contract is unchanged from the column-at-a-time
-/// kernel: after a block's cells are computed, each of its columns is
-/// *replayed* in order — count the column's cells, abandon if its minimum
-/// exceeds `thr` (when `abandon` is set), then charge the governor. DP cell
-/// values do not depend on traversal order (same recurrence, same inputs,
-/// and `min3` over non-negative values is order-exact), so verdicts, cell
-/// counts and trip points are byte-identical to the unblocked kernel —
-/// pinned by `engines_agree.rs` / `stats_accounting.rs`.
-fn decide_kernel(
-    rows: &[f64],
-    cols: &[f64],
+/// Each *step* walks one element of `outer` against the cells of `inner`
+/// that lie within half-width `w` of the length-normalized diagonal; `prev`
+/// and `cur` are flat row buffers of `|inner| + 1` cells (cell 0 is the
+/// `dp[i][0]` boundary), swapped per step. A band at least
+/// `max(|outer|, |inner|)` wide admits every cell: the unconstrained DP.
+///
+/// After each step the ledger runs in a fixed order: count the step's
+/// cells, then (with `ABANDON`) reject once every cell of the step exceeds
+/// `thr` — DP values never decrease along a warping path, so no extension
+/// can come back under it — then charge the cells against `token`. The
+/// returned `cells` is therefore exactly the number of `step` calls made.
+///
+/// A completed DP reports its raw accumulator (pre-[`finish`], unfiltered)
+/// in `within`; callers convert it.
+fn kernel<const ABANDON: bool>(
+    outer: &[f64],
+    inner: &[f64],
+    w: usize,
     thr: f64,
-    abandon: bool,
     token: &CancelToken,
     step: impl Fn(f64, f64) -> f64,
-) -> Decision {
-    let m = rows.len();
-    // `bound[r]` = DP(r, j0-1): the column just left of the current block.
-    let mut bound = vec![f64::INFINITY; m];
-    let mut above = [f64::INFINITY; COL_BLOCK];
-    let mut col_min = [f64::INFINITY; COL_BLOCK];
+) -> DtwOutcome {
+    let (n, m) = (outer.len(), inner.len());
+    // For different lengths the band must at least cover the slope gap.
+    let w = w.max(n.abs_diff(m));
+    let mut prev = vec![f64::INFINITY; m + 1];
+    let mut cur = vec![f64::INFINITY; m + 1];
+    if let Some(origin) = prev.first_mut() {
+        *origin = 0.0;
+    }
+    // The cell range the previous step actually wrote. Cells outside it are
+    // stale (two steps old), so instead of an O(m) `cur.fill` per step only
+    // the read-range cells the previous step left stale are patched to +inf
+    // — narrow bands then cost O((n+m)·w) instead of O(n·m). The boundary
+    // row is fully initialized above, hence the full starting range.
+    let (mut prev_lo, mut prev_hi) = (0usize, m);
     let mut cells = 0u64;
-    let mut first_block = true;
-    for block in cols.chunks(COL_BLOCK) {
-        above.fill(f64::INFINITY);
-        col_min.fill(f64::INFINITY);
-        // DP(-1, j0-1): the dp[0][0] boundary — 0 left of column 0 only.
-        let mut diag = if first_block { 0.0 } else { f64::INFINITY };
-        first_block = false;
-        for (&r, slot) in rows.iter().zip(bound.iter_mut()) {
-            let carried = *slot;
-            // `left` runs DP(r, j-1) along the row; `ul` is DP(r-1, j-1).
-            let mut left = carried;
-            let mut ul = diag;
-            for (&c, (up_slot, cm)) in block.iter().zip(above.iter_mut().zip(col_min.iter_mut())) {
-                let up = *up_slot;
-                let v = step(r - c, min3(left, ul, up));
-                ul = up;
-                *up_slot = v;
-                left = v;
-                *cm = (*cm).min(v);
+    let cut = |cells, early_abandoned: bool| DtwOutcome {
+        within: None,
+        cells,
+        early_abandoned,
+        cancelled: !early_abandoned,
+    };
+    for (i, &o) in (1..).zip(outer) {
+        // Band cell range for step i (normalized diagonal j = i * m / n).
+        let center = i * m / n;
+        let lo = center.saturating_sub(w).max(1);
+        let hi = center.saturating_add(w).min(m);
+        // This step reads `prev` over [lo-1, hi]. The band center is
+        // nondecreasing, so at most one cell trails below `prev_lo` and a
+        // short run leads past `prev_hi`.
+        let read_lo = lo - 1;
+        if read_lo < prev_lo {
+            let len = prev_lo.min(hi + 1) - read_lo;
+            for slot in prev.iter_mut().skip(read_lo).take(len) {
+                *slot = f64::INFINITY;
             }
-            diag = carried;
-            *slot = left;
         }
-        // Replay the block's ledger column by column, in original order.
-        for cm in col_min.iter().take(block.len()) {
-            cells += m as u64;
-            if abandon && *cm > thr {
-                return Decision {
-                    raw: None,
-                    cells,
-                    early_abandoned: true,
-                    cancelled: false,
-                };
+        if hi > prev_hi {
+            let start = (prev_hi + 1).max(read_lo);
+            for slot in prev.iter_mut().skip(start).take(hi + 1 - start) {
+                *slot = f64::INFINITY;
             }
-            if token.charge_cells(m as u64) {
-                return Decision {
-                    raw: None,
-                    cells,
-                    early_abandoned: false,
-                    cancelled: true,
-                };
-            }
+        }
+        let up_left = prev.get(read_lo).copied().unwrap_or(f64::INFINITY);
+        let xs = inner.get(read_lo..hi).unwrap_or_default();
+        let ups = prev.get(lo..hi + 1).unwrap_or_default();
+        let outs = cur.get_mut(lo..hi + 1).unwrap_or_default();
+        let width = xs.len();
+        let step_min = band_step::<ABANDON>(o, xs, ups, outs, up_left, &step);
+        std::mem::swap(&mut prev, &mut cur);
+        (prev_lo, prev_hi) = (lo, hi);
+        cells += width as u64;
+        if ABANDON && step_min > thr {
+            return cut(cells, true);
+        }
+        if token.charge_cells(width as u64) {
+            return cut(cells, false);
         }
     }
-    Decision {
-        raw: bound.last().copied(),
+    DtwOutcome {
+        within: prev.last().copied(),
         cells,
         early_abandoned: false,
         cancelled: false,
     }
+}
+
+/// One DP step: fills `outs` (the band's cells of the current row) from
+/// `ups` (the same cells of the previous row) and `up_left`, the previous
+/// row's cell left of the band. Returns the step's minimum when `ABANDON`.
+///
+/// `up_left` = dp[i-1][j-1], `up` = dp[i-1][j], `left` = dp[i][j-1].
+/// `left` is the loop-carried value, so it goes last into `min3`:
+/// `up.min(up_left)` then does not wait on the previous cell.
+///
+/// Kept out of line so the register allocator sees only this loop's state;
+/// inlined into [`kernel`] the band bounds were recomputed on every cell.
+#[inline(never)]
+fn band_step<const ABANDON: bool>(
+    o: f64,
+    xs: &[f64],
+    ups: &[f64],
+    outs: &mut [f64],
+    mut up_left: f64,
+    step: &impl Fn(f64, f64) -> f64,
+) -> f64 {
+    let mut left = f64::INFINITY;
+    let mut step_min = f64::INFINITY;
+    for ((&x, &up), cell) in xs.iter().zip(ups).zip(outs) {
+        let v = step(o - x, min3(up, up_left, left));
+        up_left = up;
+        left = v;
+        *cell = v;
+        if ABANDON {
+            step_min = step_min.min(v);
+        }
+    }
+    step_min
+}
+
+/// Runs [`kernel`] for `kind`, abandoning above `abandon_at` when it is set.
+fn run_kernel(
+    outer: &[f64],
+    inner: &[f64],
+    kind: DtwKind,
+    w: usize,
+    abandon_at: Option<f64>,
+    token: &CancelToken,
+) -> DtwOutcome {
+    match abandon_at {
+        Some(thr) => dispatch_kind!(kind, |step| kernel::<true>(
+            outer, inner, w, thr, token, step
+        )),
+        None => dispatch_kind!(kind, |step| kernel::<false>(
+            outer,
+            inner,
+            w,
+            f64::INFINITY,
+            token,
+            step
+        )),
+    }
+}
+
+/// The distance convention for empty inputs (both empty → 0, one empty →
+/// `+∞`); `None` when both are non-empty and the DP must run.
+fn empty_distance(s: &[f64], q: &[f64]) -> Option<DtwResult> {
+    let distance = if s.len() == q.len() {
+        0.0
+    } else {
+        f64::INFINITY
+    };
+    (s.is_empty() || q.is_empty()).then_some(DtwResult { distance, cells: 0 })
+}
+
+/// A complete, ungoverned DP stepping over `outer` under half-width `w`.
+pub(super) fn complete_dp(outer: &[f64], inner: &[f64], kind: DtwKind, w: usize) -> DtwResult {
+    if let Some(res) = empty_distance(outer, inner) {
+        return res;
+    }
+    let out = run_kernel(outer, inner, kind, w, None, &CancelToken::unlimited());
+    DtwResult {
+        distance: finish(kind, out.within.unwrap_or(f64::INFINITY)),
+        cells: out.cells,
+    }
+}
+
+/// The unconstrained orientation: the longer sequence drives the steps and
+/// the shorter one the row buffers (minimal memory), under a band as wide
+/// as the longer length.
+fn unconstrained<'a>(s: &'a [f64], q: &'a [f64]) -> (&'a [f64], &'a [f64], usize) {
+    let (inner, outer) = if s.len() <= q.len() { (s, q) } else { (q, s) };
+    (outer, inner, outer.len())
 }
 
 /// The time-warping distance between two sequences.
@@ -228,58 +288,40 @@ fn decide_kernel(
 /// Empty inputs follow the paper's definition: both empty → 0, one empty →
 /// `+∞`.
 pub fn dtw(s: &[f64], q: &[f64], kind: DtwKind) -> DtwResult {
-    if s.is_empty() || q.is_empty() {
-        let distance = if s.len() == q.len() {
-            0.0
-        } else {
-            f64::INFINITY
-        };
-        return DtwResult { distance, cells: 0 };
-    }
-    // Keep the shorter sequence as the row to minimize memory.
-    let (rows, cols) = if s.len() <= q.len() { (s, q) } else { (q, s) };
-    let (raw, cells) = dispatch_kind!(kind, |step| full_kernel(rows, cols, step));
-    DtwResult {
-        distance: finish(kind, raw),
-        cells,
-    }
+    let (outer, inner, w) = unconstrained(s, q);
+    complete_dp(outer, inner, kind, w)
 }
 
 /// Early-abandoning decision procedure for `D_tw(s, q) <= epsilon`.
 ///
-/// Abandons as soon as every cell of the current column exceeds the
+/// Abandons as soon as every cell of the current DP step exceeds the
 /// tolerance: DP values never decrease along a warping path under any
 /// [`DtwKind`], so no extension can come back under `epsilon`.
 pub fn dtw_within(s: &[f64], q: &[f64], kind: DtwKind, epsilon: f64) -> DtwOutcome {
-    dtw_within_governed(s, q, kind, epsilon, &CancelToken::unlimited())
+    dtw_decide(s, q, kind, epsilon, None, true, &CancelToken::unlimited())
 }
 
-/// [`dtw_within`] under a query governor: each completed DP column charges
-/// its cells against `token` and the computation stops — undecided, with
-/// [`DtwOutcome::cancelled`] set — once the token trips. With an unlimited
-/// token the behaviour (verdict *and* cell count) is identical to
-/// [`dtw_within`].
-pub fn dtw_within_governed(
-    s: &[f64],
-    q: &[f64],
-    kind: DtwKind,
-    epsilon: f64,
-    token: &CancelToken,
-) -> DtwOutcome {
-    dtw_decide_governed(s, q, kind, epsilon, true, token)
-}
-
-/// [`dtw_within_governed`] with the early-abandon cutoff switchable.
+/// The governed decision procedure every verifier runs: decides
+/// `D_tw(s, q) <= epsilon`, unconstrained (`band = None`) or under a
+/// Sakoe–Chiba band of half-width `w` (`band = Some(w)`, the distance of
+/// [`super::dtw_banded`]).
 ///
-/// With `early_abandon` set this is exactly [`dtw_within_governed`]. Without
-/// it the DP always runs to completion (or cancellation): candidates are
-/// then never `early_abandoned`, which the cascade exposes through
+/// Each DP step charges its cells against `token`; once the token trips the
+/// computation stops undecided, with [`DtwOutcome::cancelled`] set. With
+/// `early_abandon` the DP stops as soon as a whole step exceeds the
+/// tolerance ([`DtwOutcome::early_abandoned`]); without it the DP always
+/// runs to completion or cancellation, which the cascade exposes through
 /// [`crate::bound::CascadeSpec::early_abandon`] for ablation runs.
-pub fn dtw_decide_governed(
+///
+/// The unconstrained DP steps over the longer sequence with the shorter one
+/// in the row buffers; the banded DP steps over `s` with `q` in the row
+/// buffers.
+pub fn dtw_decide(
     s: &[f64],
     q: &[f64],
     kind: DtwKind,
     epsilon: f64,
+    band: Option<usize>,
     early_abandon: bool,
     token: &CancelToken,
 ) -> DtwOutcome {
@@ -293,38 +335,26 @@ pub fn dtw_decide_governed(
             cancelled: false,
         };
     }
-    let (rows, cols) = if s.len() <= q.len() { (s, q) } else { (q, s) };
-    let thr = threshold(kind, epsilon);
-    let decision = dispatch_kind!(kind, |step| decide_kernel(
-        rows,
-        cols,
-        thr,
-        early_abandon,
-        token,
-        step
-    ));
-    let within = decision
-        .raw
-        .map(|raw| finish(kind, raw))
-        .filter(|&d| d <= epsilon);
+    let (outer, inner, w) = match band {
+        None => unconstrained(s, q),
+        Some(w) => (s, q, w),
+    };
+    let abandon_at = early_abandon.then(|| threshold(kind, epsilon));
+    let out = run_kernel(outer, inner, kind, w, abandon_at, token);
     DtwOutcome {
-        within,
-        cells: decision.cells,
-        early_abandoned: decision.early_abandoned,
-        cancelled: decision.cancelled,
+        within: out
+            .within
+            .map(|raw| finish(kind, raw))
+            .filter(|&d| d <= epsilon),
+        ..out
     }
 }
 
 /// Full-matrix computation that also recovers the optimal warping path as
 /// `(s index, q index)` element mappings (the paper's `M = <m_1 ... m_|M|>`).
 pub fn dtw_with_path(s: &[f64], q: &[f64], kind: DtwKind) -> (DtwResult, Vec<(usize, usize)>) {
-    if s.is_empty() || q.is_empty() {
-        let distance = if s.len() == q.len() {
-            0.0
-        } else {
-            f64::INFINITY
-        };
-        return (DtwResult { distance, cells: 0 }, Vec::new());
+    if let Some(res) = empty_distance(s, q) {
+        return (res, Vec::new());
     }
     let (n, m) = (s.len(), q.len());
     // Row-by-row DP: each new row reads the previous one plus a running
@@ -572,9 +602,9 @@ mod tests {
         assert!(d100 > 5.0 * d10);
     }
 
-    /// The pre-blocking column-at-a-time kernel, kept as a test oracle: the
-    /// cache-blocked kernel must reproduce its verdict, cell ledger and
-    /// flags bit-for-bit for every recurrence kind.
+    /// The column-at-a-time unconstrained decision DP written out long-hand,
+    /// kept as a test oracle: the kernel must reproduce its verdict, cell
+    /// ledger and flags bit-for-bit for every recurrence kind.
     fn reference_decide(
         s: &[f64],
         q: &[f64],
@@ -598,13 +628,6 @@ mod tests {
         let mut cur = vec![f64::INFINITY; m];
         let mut corner = 0.0f64;
         let mut cells = 0u64;
-        let mut decision = Decision {
-            raw: None,
-            cells: 0,
-            early_abandoned: false,
-            cancelled: false,
-        };
-        let mut done = false;
         for &c in cols {
             let mut up_left = corner;
             let mut left = f64::INFINITY;
@@ -618,45 +641,33 @@ mod tests {
             }
             cells += m as u64;
             if col_min > thr {
-                decision = Decision {
-                    raw: None,
+                return DtwOutcome {
+                    within: None,
                     cells,
                     early_abandoned: true,
                     cancelled: false,
                 };
-                done = true;
-                break;
             }
             if token.charge_cells(m as u64) {
-                decision = Decision {
-                    raw: None,
+                return DtwOutcome {
+                    within: None,
                     cells,
                     early_abandoned: false,
                     cancelled: true,
                 };
-                done = true;
-                break;
             }
             corner = f64::INFINITY;
             std::mem::swap(&mut prev, &mut cur);
         }
-        if !done {
-            decision = Decision {
-                raw: prev.last().copied(),
-                cells,
-                early_abandoned: false,
-                cancelled: false,
-            };
-        }
-        let within = decision
-            .raw
-            .map(|raw| finish(kind, raw))
+        let within = prev
+            .last()
+            .map(|&raw| finish(kind, raw))
             .filter(|&d| d <= epsilon);
         DtwOutcome {
             within,
-            cells: decision.cells,
-            early_abandoned: decision.early_abandoned,
-            cancelled: decision.cancelled,
+            cells,
+            early_abandoned: false,
+            cancelled: false,
         }
     }
 
@@ -672,9 +683,9 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernel_matches_reference_bit_for_bit() {
-        // Lengths straddle every block boundary (COL_BLOCK = 8): partial
-        // blocks, exact multiples, and rows/cols swaps.
+    fn kernel_matches_reference_bit_for_bit() {
+        // Lengths straddle multiples of 8 (the SIMD-lane and cache-block
+        // sizes a kernel could be tempted to batch by) and swap rows/cols.
         let lens = [1usize, 2, 7, 8, 9, 15, 16, 17, 23];
         for &n in &lens {
             for &m in &[1usize, 3, 8, 13] {
@@ -699,7 +710,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernel_budget_trip_matches_reference() {
+    fn kernel_budget_trip_matches_reference() {
         use std::sync::Arc;
         let s = pseudo_seq(19, 5);
         let q = pseudo_seq(11, 7);
@@ -711,7 +722,7 @@ mod tests {
                         .max_cells(budget)
                         .build()
                 };
-                let got = dtw_within_governed(&s, &q, kind, 1e9, &mk());
+                let got = dtw_decide(&s, &q, kind, 1e9, None, true, &mk());
                 let want = reference_decide(&s, &q, kind, 1e9, &mk());
                 assert_eq!(got.cells, want.cells, "{kind:?} budget={budget}");
                 assert_eq!(got.cancelled, want.cancelled, "{kind:?} budget={budget}");
@@ -720,6 +731,62 @@ mod tests {
                     want.within.map(f64::to_bits),
                     "{kind:?} budget={budget}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_ledger_counts_exactly_the_cells_it_computes() {
+        use std::cell::Cell;
+        use std::sync::Arc;
+        let calls = Cell::new(0u64);
+        let step = |gap: f64, best: f64| {
+            calls.set(calls.get() + 1);
+            gap.abs().max(best)
+        };
+        let unlimited = CancelToken::unlimited();
+        // Lengths straddle 8, so a kernel that computes several steps ahead
+        // of its cutoff check cannot hide the surplus in the ledger.
+        for n in [7usize, 8, 9, 17] {
+            for m in [3usize, 8, 13] {
+                let s = pseudo_seq(n, 3);
+                let q = pseudo_seq(m, 11);
+                let full = n.max(m);
+                // Values stay within ~20, so the cutoff below never fires
+                // until `s` jumps away from `q` at step 6.
+                let jumps: Vec<f64> = (0..n)
+                    .map(|i| s[i] + if i >= 5 { 1e3 } else { 0.0 })
+                    .collect();
+                let budget = CancelToken::builder(Arc::new(crate::govern::SystemClock::new()))
+                    .max_cells(3 * m as u64 + 1)
+                    .build();
+                let counted = |run: &dyn Fn() -> DtwOutcome| {
+                    let before = calls.get();
+                    let out = run();
+                    (calls.get() - before, out)
+                };
+
+                let (computed, out) =
+                    counted(&|| kernel::<false>(&s, &q, full, f64::INFINITY, &unlimited, step));
+                assert_eq!(computed, out.cells, "complete n={n} m={m}");
+                assert_eq!(out.cells, (n * m) as u64, "complete n={n} m={m}");
+
+                let (computed, out) =
+                    counted(&|| kernel::<true>(&jumps, &q, full, 50.0, &unlimited, step));
+                assert_eq!(computed, out.cells, "abandoned n={n} m={m}");
+                assert!(out.early_abandoned, "abandoned n={n} m={m}");
+                assert_eq!(out.cells, 6 * m as u64, "abandoned n={n} m={m}");
+
+                let (computed, out) =
+                    counted(&|| kernel::<false>(&s, &q, full, f64::INFINITY, &budget, step));
+                assert_eq!(computed, out.cells, "cancelled n={n} m={m}");
+                assert!(out.cancelled, "cancelled n={n} m={m}");
+                assert_eq!(out.cells, 4 * m as u64, "cancelled n={n} m={m}");
+
+                let (computed, out) =
+                    counted(&|| kernel::<false>(&s, &q, 1, f64::INFINITY, &unlimited, step));
+                assert_eq!(computed, out.cells, "banded n={n} m={m}");
+                assert!(out.within.is_some(), "banded n={n} m={m}");
             }
         }
     }

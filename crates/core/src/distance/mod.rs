@@ -5,10 +5,8 @@ mod band;
 mod dtw;
 mod lp;
 
-pub use band::{dtw_banded, dtw_banded_governed, sakoe_chiba_width};
-pub use dtw::{
-    dtw, dtw_decide_governed, dtw_with_path, dtw_within, dtw_within_governed, DtwOutcome, DtwResult,
-};
+pub use band::{dtw_banded, sakoe_chiba_width};
+pub use dtw::{dtw, dtw_decide, dtw_with_path, dtw_within, DtwOutcome, DtwResult};
 pub use lp::{l1, l2, linf, lp};
 
 /// Which time-warping recurrence is in effect.

@@ -307,7 +307,7 @@ pub trait SearchEngine<P: Pager>: Send + Sync {
 
     /// Finds every stored sequence within `epsilon` of `query` under the
     /// options' distance kind, verifying candidates through the shared
-    /// pipeline ([`crate::search::verify_candidates`]).
+    /// pipeline ([`crate::search::VerifyJob`]).
     fn range_search(
         &self,
         store: &SequenceStore<P>,

@@ -13,7 +13,6 @@ mod hybrid;
 mod knn;
 mod lb_scan;
 mod naive_scan;
-mod parallel;
 mod resilient;
 mod sharded;
 mod st_filter;
@@ -27,13 +26,12 @@ pub use hybrid::{HybridPlan, HybridSearch};
 pub use knn::{KnnMatch, KnnOutcome};
 pub use lb_scan::LbScan;
 pub use naive_scan::NaiveScan;
-pub use parallel::parallel_query_batch;
 pub use resilient::ResilientSearch;
 pub use sharded::{CorpusSharder, ShardHandle, ShardedKnnOutcome, ShardedOutcome, ShardedSearch};
 pub use st_filter::StFilterSearch;
 pub use subsequence::{SubsequenceIndex, SubsequenceMatch, SubsequenceOutcome, WindowSpec};
 pub use tw_sim_search::{TwSimSearch, VerifyMode};
-pub use verify::{verify_candidates, verify_candidates_governed, VerifyJob};
+pub use verify::VerifyJob;
 
 use std::time::Duration;
 

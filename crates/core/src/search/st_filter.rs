@@ -14,7 +14,7 @@
 use tw_storage::{Pager, SequenceStore};
 use tw_suffix::{CategoryMethod, StFilter};
 
-use crate::distance::{dtw_within_governed, DtwKind};
+use crate::distance::{dtw_decide, DtwKind};
 use crate::error::{validate_tolerance, TwError};
 use crate::govern::termination_of;
 use crate::search::subsequence::SubsequenceOutcome;
@@ -147,11 +147,13 @@ impl StFilterSearch {
                 let mut proposal_abandoned = false;
                 let mut proposal_cancelled = false;
                 for end in (offset + len)..=values.len() {
-                    let outcome = dtw_within_governed(
+                    let outcome = dtw_decide(
                         &values[offset..end],
                         query,
                         opts.kind,
                         epsilon,
+                        None,
+                        true,
                         &token,
                     );
                     stats.dtw_cells += outcome.cells;

@@ -12,7 +12,7 @@
 use tw_rtree::{Point, RTree};
 use tw_storage::{Pager, SeqId, SequenceStore};
 
-use crate::distance::{dtw_within_governed, DtwKind};
+use crate::distance::{dtw_decide, DtwKind};
 use crate::error::{validate_tolerance, TwError};
 use crate::feature::FeatureVector;
 use crate::govern::{termination_of, Termination};
@@ -229,7 +229,7 @@ impl SubsequenceIndex {
                     break 'candidates;
                 }
                 let window = &values[offset..offset + len];
-                let outcome = dtw_within_governed(window, query, opts.kind, epsilon, &token);
+                let outcome = dtw_decide(window, query, opts.kind, epsilon, None, true, &token);
                 stats.dtw_cells += outcome.cells;
                 counters.add_dtw_cells(outcome.cells);
                 if outcome.cancelled {

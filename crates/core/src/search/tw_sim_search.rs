@@ -34,6 +34,16 @@ pub enum VerifyMode {
     Banded(usize),
 }
 
+impl VerifyMode {
+    /// The Sakoe–Chiba half-width, `None` for unconstrained verification.
+    pub fn band(self) -> Option<usize> {
+        match self {
+            VerifyMode::Exact => None,
+            VerifyMode::Banded(w) => Some(w),
+        }
+    }
+}
+
 /// The index-based engine.
 #[derive(Debug, Clone)]
 pub struct TwSimSearch {

@@ -21,7 +21,7 @@
 use tw_storage::SeqId;
 
 use crate::bound::{BoundCascade, BoundTier, CascadeDecision};
-use crate::distance::{dtw_banded_governed, dtw_decide_governed, DtwKind};
+use crate::distance::{dtw_decide, DtwKind};
 use crate::govern::CancelToken;
 use crate::search::{Match, SearchStats, VerifyMode};
 use crate::stats::{Phase, PipelineCounters};
@@ -30,8 +30,7 @@ use crate::stats::{Phase, PipelineCounters};
 /// needs, plus the optional per-query [`BoundCascade`].
 ///
 /// Engines build the job from their [`crate::search::EngineOpts`] and call
-/// [`VerifyJob::run`]; the legacy free functions below remain as wrappers
-/// for cascade-less callers.
+/// [`VerifyJob::run`].
 pub struct VerifyJob<'a> {
     query: &'a [f64],
     epsilon: f64,
@@ -150,7 +149,10 @@ impl<'a> VerifyJob<'a> {
         let mut abandoned = 0u64;
         let mut skipped = 0u64;
         let mut pruned = [0u64; BoundTier::ALL.len()];
-        let abandon = self.cascade.is_none_or(BoundCascade::early_abandon);
+        let band = self.verify.band();
+        // Banded verification never abandons: its candidates always run the
+        // band to completion (or cancellation).
+        let abandon = band.is_none() && self.cascade.is_none_or(BoundCascade::early_abandon);
         for (i, (id, values)) in candidates.iter().enumerate() {
             if token.cancelled() {
                 skipped += (candidates.len() - i) as u64;
@@ -168,48 +170,30 @@ impl<'a> VerifyJob<'a> {
                     continue;
                 }
             }
-            let (within, cells, cancelled) = match self.verify {
-                VerifyMode::Exact => {
-                    let outcome = dtw_decide_governed(
-                        values,
-                        self.query,
-                        self.kind,
-                        self.epsilon,
-                        abandon,
-                        token,
-                    );
-                    if !outcome.cancelled {
-                        if outcome.early_abandoned {
-                            abandoned += 1;
-                        } else {
-                            verified += 1;
-                        }
-                    }
-                    (outcome.within, outcome.cells, outcome.cancelled)
-                }
-                VerifyMode::Banded(w) => {
-                    let (r, cancelled) =
-                        dtw_banded_governed(values, self.query, self.kind, w, token);
-                    if !cancelled {
-                        verified += 1;
-                    }
-                    (
-                        (!cancelled && r.distance <= self.epsilon).then_some(r.distance),
-                        r.cells,
-                        cancelled,
-                    )
-                }
-            };
-            stats.dtw_cells += cells;
-            if cancelled {
+            let outcome = dtw_decide(
+                values,
+                self.query,
+                self.kind,
+                self.epsilon,
+                band,
+                abandon,
+                token,
+            );
+            stats.dtw_cells += outcome.cells;
+            if outcome.cancelled {
                 // Started but undecided: the cells were spent, the verdict
                 // never arrived. Ledger the candidate as skipped, not as an
                 // invocation.
                 skipped += 1;
             } else {
                 stats.dtw_invocations += 1;
+                if outcome.early_abandoned {
+                    abandoned += 1;
+                } else {
+                    verified += 1;
+                }
             }
-            if let Some(distance) = within {
+            if let Some(distance) = outcome.within {
                 matches.push(Match { id: *id, distance });
             }
         }
@@ -224,38 +208,6 @@ impl<'a> VerifyJob<'a> {
         counters.add_dtw_cells(stats.dtw_cells);
         (matches, stats)
     }
-}
-
-/// Verifies candidates without a cascade or governor — see [`VerifyJob`].
-pub fn verify_candidates(
-    candidates: &[(SeqId, Vec<f64>)],
-    query: &[f64],
-    epsilon: f64,
-    kind: DtwKind,
-    verify: VerifyMode,
-    threads: usize,
-    counters: &PipelineCounters,
-) -> (Vec<Match>, SearchStats) {
-    VerifyJob::new(query, epsilon, kind, verify, threads).run(
-        candidates,
-        counters,
-        &CancelToken::unlimited(),
-    )
-}
-
-/// [`verify_candidates`] under a query governor — see [`VerifyJob::run`].
-#[allow(clippy::too_many_arguments)] // Mirrors verify_candidates plus the token; cascade callers use VerifyJob directly.
-pub fn verify_candidates_governed(
-    candidates: &[(SeqId, Vec<f64>)],
-    query: &[f64],
-    epsilon: f64,
-    kind: DtwKind,
-    verify: VerifyMode,
-    threads: usize,
-    counters: &PipelineCounters,
-    token: &CancelToken,
-) -> (Vec<Match>, SearchStats) {
-    VerifyJob::new(query, epsilon, kind, verify, threads).run(candidates, counters, token)
 }
 
 #[cfg(test)]
@@ -278,27 +230,17 @@ mod tests {
         let cands = candidates();
         let query = [3.0, 3.3, 3.9];
         let base_counters = PipelineCounters::new();
-        let (base_matches, base_stats) = verify_candidates(
-            &cands,
-            &query,
-            0.5,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            1,
-            &base_counters,
-        );
+        let (base_matches, base_stats) =
+            VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 1).run(
+                &cands,
+                &base_counters,
+                &CancelToken::unlimited(),
+            );
         assert!(!base_matches.is_empty());
         for threads in [2usize, 3, 4, 16] {
             let counters = PipelineCounters::new();
-            let (m, s) = verify_candidates(
-                &cands,
-                &query,
-                0.5,
-                DtwKind::MaxAbs,
-                VerifyMode::Exact,
-                threads,
-                &counters,
-            );
+            let (m, s) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, threads)
+                .run(&cands, &counters, &CancelToken::unlimited());
             assert_eq!(m, base_matches, "threads={threads}");
             assert_eq!(s.dtw_invocations, base_stats.dtw_invocations);
             assert_eq!(s.dtw_cells, base_stats.dtw_cells);
@@ -314,14 +256,10 @@ mod tests {
         let cands = candidates();
         let query = [3.0, 3.3, 3.9];
         let counters = PipelineCounters::new();
-        let (m, s) = verify_candidates(
+        let (m, s) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 3).run(
             &cands,
-            &query,
-            0.5,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            3,
             &counters,
+            &CancelToken::unlimited(),
         );
         let snap = counters.snapshot();
         // Every candidate either completed or abandoned.
@@ -339,15 +277,12 @@ mod tests {
         let cands = candidates();
         let query = [3.0, 3.3, 3.9];
         let plain_counters = PipelineCounters::new();
-        let (plain, plain_stats) = verify_candidates(
-            &cands,
-            &query,
-            0.5,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            2,
-            &plain_counters,
-        );
+        let (plain, plain_stats) =
+            VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 2).run(
+                &cands,
+                &plain_counters,
+                &CancelToken::unlimited(),
+            );
         let cascade = BoundCascade::prepare(
             &CascadeSpec::standard(),
             &query,
@@ -433,14 +368,10 @@ mod tests {
         let cands = candidates();
         let query = [3.0, 3.3, 3.9];
         let counters = PipelineCounters::new();
-        let _ = verify_candidates(
+        let _ = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Banded(1), 2).run(
             &cands,
-            &query,
-            0.5,
-            DtwKind::MaxAbs,
-            VerifyMode::Banded(1),
-            2,
             &counters,
+            &CancelToken::unlimited(),
         );
         let snap = counters.snapshot();
         assert_eq!(snap.abandoned, 0);
@@ -452,14 +383,10 @@ mod tests {
         let mut cands = candidates();
         cands.reverse();
         let query = [3.0, 3.3, 3.9];
-        let (m, _) = verify_candidates(
+        let (m, _) = VerifyJob::new(&query, 5.0, DtwKind::MaxAbs, VerifyMode::Exact, 3).run(
             &cands,
-            &query,
-            5.0,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            3,
             &PipelineCounters::new(),
+            &CancelToken::unlimited(),
         );
         assert!(m.windows(2).all(|w| w[0].id < w[1].id));
     }
@@ -468,14 +395,10 @@ mod tests {
     fn distances_are_exact() {
         let cands = candidates();
         let query = [2.0, 2.5, 2.9];
-        let (m, _) = verify_candidates(
+        let (m, _) = VerifyJob::new(&query, 1.0, DtwKind::SumAbs, VerifyMode::Exact, 4).run(
             &cands,
-            &query,
-            1.0,
-            DtwKind::SumAbs,
-            VerifyMode::Exact,
-            4,
             &PipelineCounters::new(),
+            &CancelToken::unlimited(),
         );
         for matched in &m {
             let expect = dtw(&cands[matched.id as usize].1, &query, DtwKind::SumAbs).distance;
@@ -487,24 +410,13 @@ mod tests {
     fn banded_mode_is_a_subset_of_exact() {
         let cands = candidates();
         let query = [3.0, 3.3, 3.9];
-        let (exact, _) = verify_candidates(
+        let (exact, _) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Exact, 2).run(
             &cands,
-            &query,
-            0.5,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            2,
             &PipelineCounters::new(),
+            &CancelToken::unlimited(),
         );
-        let (banded, _) = verify_candidates(
-            &cands,
-            &query,
-            0.5,
-            DtwKind::MaxAbs,
-            VerifyMode::Banded(1),
-            2,
-            &PipelineCounters::new(),
-        );
+        let (banded, _) = VerifyJob::new(&query, 0.5, DtwKind::MaxAbs, VerifyMode::Banded(1), 2)
+            .run(&cands, &PipelineCounters::new(), &CancelToken::unlimited());
         let exact_ids: Vec<_> = exact.iter().map(|m| m.id).collect();
         for m in &banded {
             assert!(exact_ids.contains(&m.id));
@@ -514,14 +426,10 @@ mod tests {
     #[test]
     fn empty_candidates_are_fine() {
         let counters = PipelineCounters::new();
-        let (m, s) = verify_candidates(
+        let (m, s) = VerifyJob::new(&[1.0], 1.0, DtwKind::MaxAbs, VerifyMode::Exact, 4).run(
             &[],
-            &[1.0],
-            1.0,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            4,
             &counters,
+            &CancelToken::unlimited(),
         );
         assert!(m.is_empty());
         assert_eq!(s.dtw_invocations, 0);
@@ -531,14 +439,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one verify worker")]
     fn zero_threads_rejected() {
-        let _ = verify_candidates(
+        let _ = VerifyJob::new(&[1.0], 1.0, DtwKind::MaxAbs, VerifyMode::Exact, 0).run(
             &[],
-            &[1.0],
-            1.0,
-            DtwKind::MaxAbs,
-            VerifyMode::Exact,
-            0,
             &PipelineCounters::new(),
+            &CancelToken::unlimited(),
         );
     }
 }

@@ -482,7 +482,7 @@ fn collect_facts(tokens: &[Token], skip: &[bool], fns: &mut [FnModel]) {
             _ => {}
         }
 
-        if next != "(" {
+        if !is_call(tokens, i) {
             continue;
         }
         let name = t.text.as_str();
@@ -525,6 +525,31 @@ fn collect_facts(tokens: &[Token], skip: &[bool], fns: &mut [FnModel]) {
                 line: t.line,
             });
         }
+    }
+}
+
+/// Whether the identifier at `i` is called: `name(..)`, or `name::<..>(..)`
+/// through a turbofish (bounded scan for the closing `>`).
+fn is_call(tokens: &[Token], i: usize) -> bool {
+    match at(tokens, i + 1) {
+        "(" => true,
+        "::" if at(tokens, i + 2) == "<" => {
+            let mut depth = 0i32;
+            for j in i + 2..tokens.len().min(i + 34) {
+                depth += match at(tokens, j) {
+                    "<" => 1,
+                    "<<" => 2,
+                    ">" => -1,
+                    ">>" => -2,
+                    _ => 0,
+                };
+                if depth <= 0 {
+                    return at(tokens, j + 1) == "(";
+                }
+            }
+            false
+        }
+        _ => false,
     }
 }
 
@@ -627,6 +652,13 @@ mod tests {
         assert_eq!(inner.loops.len(), 1);
         assert!(outer.calls.iter().any(|c| c.name == "work"));
         assert!(!outer.calls.iter().any(|c| c.name == "spin"));
+    }
+
+    #[test]
+    fn turbofish_calls_are_calls() {
+        let m = model("fn f() { step::<true>(x); nest::<Vec<Vec<u8>>>(); let t = a::<T> < b; }");
+        let names: Vec<_> = m.fns[0].calls.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["step", "nest"]);
     }
 
     #[test]
