@@ -24,6 +24,7 @@
 use std::path::Path;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use tw_storage::crc32;
 
 use crate::convert::{u32_to_usize, usize_to_u32, usize_to_u64};
 use crate::geometry::Rect;
@@ -132,38 +133,6 @@ impl From<DecodeError> for PersistError {
     fn from(e: DecodeError) -> Self {
         PersistError::Decode(e)
     }
-}
-
-/// CRC-32 (IEEE, reflected) — same polynomial as `tw_storage::crc32`,
-/// duplicated here because the rtree crate stands alone (no storage dep).
-fn crc32(data: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
-        let mut i = 0usize;
-        let mut seed = 0u32;
-        while i < 256 {
-            let mut crc = seed;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            t[i] = crc;
-            i += 1;
-            seed += 1;
-        }
-        t
-    }
-    static TABLE: [u32; 256] = table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[u32_to_usize((crc ^ u32::from(b)) & 0xFF)];
-    }
-    !crc
 }
 
 /// Atomically replaces `path` with the serialized tree: write to a

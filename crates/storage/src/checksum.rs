@@ -11,7 +11,11 @@
 //! trailer layout itself. Reads verify before handing bytes up; a mismatch
 //! surfaces as [`PagerError::Corrupt`] rather than garbage data. The CRC32
 //! (IEEE reflected polynomial, as used by zlib and ethernet) is implemented
-//! here directly — the workspace deliberately carries no checksum crate.
+//! here directly, slicing-by-16 over a 16 KiB table built at compile time —
+//! the workspace deliberately carries no checksum crate, and every
+//! checksummed format (pages, records, store and WAL headers, WAL records,
+//! shard manifests, envelope sidecars, R-tree files, TWNP frames) uses this
+//! one implementation.
 
 use crate::pager::{Pager, PagerError};
 
@@ -24,33 +28,62 @@ pub const TRAILER_BYTES: usize = 8;
 const TRAILER_TAG: u16 = u16::from_le_bytes(*b"CP");
 const TRAILER_VERSION: u16 = 1;
 
-/// CRC32 lookup table for the reflected IEEE polynomial 0xEDB88320.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0usize;
-    let mut seed = 0u32;
-    while i < 256 {
-        let mut crc = seed;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-        seed += 1;
+/// One reflected-CRC step over a zero byte: eight shifts of the IEEE
+/// polynomial 0xEDB88320.
+const fn shift_zero_byte(mut crc: u32) -> u32 {
+    let mut bit = 0;
+    while bit < 8 {
+        crc = if crc & 1 != 0 {
+            (crc >> 1) ^ 0xEDB8_8320
+        } else {
+            crc >> 1
+        };
+        bit += 1;
     }
-    table
+    crc
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+/// Slicing-by-16 tables (16 × 256 × 4 bytes = 16 KiB). Row `k`, entry `b`
+/// is the CRC register after byte `b` followed by `k` zero bytes, so row 0
+/// is the classic bytewise table and row `k` carries a byte `k` positions
+/// ahead of the end of a 16-byte block.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut byte = 0usize;
+    let mut register = 0u32;
+    while byte < 256 {
+        let mut crc = register;
+        let mut row = 0usize;
+        while row < 16 {
+            crc = shift_zero_byte(crc);
+            tables[row][byte] = crc;
+            row += 1;
+        }
+        byte += 1;
+        register += 1;
+    }
+    tables
+}
+
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
+
+/// Table lookup; `row` is a constant at every call site, so after inlining
+/// both bounds checks fold away.
+#[inline(always)]
+fn lookup(row: usize, byte: u8) -> u32 {
+    CRC32_TABLES
+        .get(row)
+        .and_then(|table| table.get(usize::from(byte)))
+        .copied()
+        .unwrap_or(0)
+}
 
 /// Incremental CRC-32 (IEEE, reflected) — for checksumming data that is
 /// produced in pieces (record header then values) without concatenating.
+///
+/// `update` consumes 16 bytes per step (slicing-by-16) and finishes the
+/// sub-block tail one byte at a time; the result does not depend on how the
+/// input is split across calls.
 #[derive(Debug, Clone)]
 pub struct Crc32 {
     state: u32,
@@ -63,9 +96,30 @@ impl Crc32 {
 
     pub fn update(&mut self, data: &[u8]) {
         let mut crc = self.state;
-        for &b in data {
-            crc =
-                (crc >> 8) ^ CRC32_TABLE[crate::convert::u32_to_usize((crc ^ u32::from(b)) & 0xFF)];
+        let (blocks, tail) = data.as_chunks::<16>();
+        for block in blocks {
+            let [c0, c1, c2, c3] = crc.to_le_bytes();
+            let [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] = *block;
+            crc = lookup(15, b0 ^ c0)
+                ^ lookup(14, b1 ^ c1)
+                ^ lookup(13, b2 ^ c2)
+                ^ lookup(12, b3 ^ c3)
+                ^ lookup(11, b4)
+                ^ lookup(10, b5)
+                ^ lookup(9, b6)
+                ^ lookup(8, b7)
+                ^ lookup(7, b8)
+                ^ lookup(6, b9)
+                ^ lookup(5, b10)
+                ^ lookup(4, b11)
+                ^ lookup(3, b12)
+                ^ lookup(2, b13)
+                ^ lookup(1, b14)
+                ^ lookup(0, b15);
+        }
+        for &b in tail {
+            let [c0, ..] = crc.to_le_bytes();
+            crc = (crc >> 8) ^ lookup(0, b ^ c0);
         }
         self.state = crc;
     }
@@ -218,15 +272,96 @@ mod tests {
     use super::*;
     use crate::pager::MemPager;
 
+    /// The bytewise CRC-32 the slicing-by-16 loop replaced, kept as the
+    /// oracle: its own 256-entry table and one lookup per byte.
+    fn bytewise_crc32(data: &[u8]) -> u32 {
+        const fn table() -> [u32; 256] {
+            let mut t = [0u32; 256];
+            let mut i = 0usize;
+            while i < 256 {
+                let mut crc = i as u32;
+                let mut bit = 0;
+                while bit < 8 {
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ 0xEDB8_8320
+                    } else {
+                        crc >> 1
+                    };
+                    bit += 1;
+                }
+                t[i] = crc;
+                i += 1;
+            }
+            t
+        }
+        static TABLE: [u32; 256] = table();
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// Deterministic pseudo-random bytes (SplitMix64).
+    fn seeded_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard test vectors for CRC-32/IEEE.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
+        for (data, expected) in [
+            (&b""[..], 0),
+            (&b"123456789"[..], 0xCBF4_3926),
+            (
+                &b"The quick brown fox jumps over the lazy dog"[..],
+                0x414F_A339,
+            ),
+        ] {
+            assert_eq!(crc32(data), expected);
+            assert_eq!(bytewise_crc32(data), expected);
+        }
+    }
+
+    #[test]
+    fn sliced_crc_matches_bytewise_oracle_at_every_length() {
+        let data = seeded_bytes(80, 0x5EED);
+        for len in 0..=data.len() {
+            let prefix = &data[..len];
+            assert_eq!(crc32(prefix), bytewise_crc32(prefix), "length {len}");
+        }
+        // Larger inputs with a sub-block tail, and all-ones bytes that
+        // exercise every table row at its last entry.
+        for len in [1024, 1044, 4096 + 7] {
+            let big = seeded_bytes(len, u64::try_from(len).unwrap());
+            assert_eq!(crc32(&big), bytewise_crc32(&big), "length {len}");
+        }
+        let ones = [0xFFu8; 100];
+        assert_eq!(crc32(&ones), bytewise_crc32(&ones));
+    }
+
+    #[test]
+    fn split_updates_match_one_shot_at_every_split_point() {
+        // Each `update` call restarts the 16-byte chunking, so a split in the
+        // middle of a block must still give the one-shot answer.
+        let data = seeded_bytes(100, 0xC0FFEE);
+        let expected = bytewise_crc32(&data);
+        for split in 0..=data.len() {
+            let (head, tail) = data.split_at(split);
+            let mut h = Crc32::new();
+            h.update(head);
+            h.update(tail);
+            assert_eq!(h.finalize(), expected, "split at {split}");
+        }
     }
 
     #[test]

@@ -126,20 +126,33 @@ pub fn encode_record(buf: &mut BytesMut, id: u64, values: &[f64]) {
 }
 
 /// Appends the checksummed v2 record encoding to `buf`.
+///
+/// The values are written first (behind a zeroed CRC slot), then the CRC is
+/// taken over the encoded `id ‖ len` and value bytes as written — one
+/// contiguous pass over the values instead of one update per element.
 pub fn encode_record_v2(buf: &mut BytesMut, id: u64, values: &[f64]) {
+    let start = buf.len();
     buf.reserve(RecordFormat::V2.encoded_len(values.len()));
-    let mut crc = Crc32::new();
-    crc.update(&id.to_le_bytes());
-    crc.update(&record_len_u32(values.len()).to_le_bytes());
-    for &v in values {
-        crc.update(&v.to_le_bytes());
-    }
     buf.put_u64_le(id);
     buf.put_u32_le(record_len_u32(values.len()));
-    buf.put_u32_le(crc.finalize());
+    buf.put_u32_le(0); // CRC slot, filled below
     for &v in values {
         buf.put_f64_le(v);
     }
+    let record = buf.split_at_mut(start).1;
+    if let Some((id_len, rest)) = record.split_first_chunk_mut::<RECORD_HEADER_BYTES>() {
+        if let Some((crc_slot, body)) = rest.split_first_chunk_mut::<4>() {
+            *crc_slot = record_crc(id_len, body).to_le_bytes();
+        }
+    }
+}
+
+/// The v2 record CRC: covers the `id ‖ len` header bytes, then the values.
+fn record_crc(id_len: &[u8], body: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(id_len);
+    crc.update(body);
+    crc.finalize()
 }
 
 /// Appends the record encoding for `format` to `buf`.
@@ -164,89 +177,111 @@ pub fn encode_record_to_bytes_v2(id: u64, values: &[f64]) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes one v1 record from the front of `buf`, advancing it.
-pub fn decode_record(buf: &mut Bytes) -> Result<Record, CodecError> {
-    if buf.remaining() < RECORD_HEADER_BYTES {
-        return Err(CodecError::Truncated {
-            needed: RECORD_HEADER_BYTES,
-            available: buf.remaining(),
-        });
-    }
-    let id = buf.get_u64_le();
-    let len = buf.get_u32_le();
+/// Splits the first `N` bytes off `src`.
+fn take<const N: usize>(src: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = src.split_first_chunk::<N>()?;
+    *src = rest;
+    Some(*head)
+}
+
+/// A parsed record header: id, element count and (v2) the stored CRC.
+pub(crate) struct Header {
+    id: u64,
+    pub(crate) len: u32,
+    crc: Option<u32>,
+}
+
+/// Parses the `format` header at the front of `src`, returning it with the
+/// bytes that follow it.
+pub(crate) fn parse_header(
+    format: RecordFormat,
+    src: &[u8],
+) -> Result<(Header, &[u8]), CodecError> {
+    let short = CodecError::Truncated {
+        needed: format.header_bytes(),
+        available: src.len(),
+    };
+    let mut rest = src;
+    let (Some(id), Some(len)) = (take::<8>(&mut rest), take::<4>(&mut rest)) else {
+        return Err(short);
+    };
+    let crc = match format {
+        RecordFormat::V1 => None,
+        RecordFormat::V2 => Some(u32::from_le_bytes(take::<4>(&mut rest).ok_or(short)?)),
+    };
+    let header = Header {
+        id: u64::from_le_bytes(id),
+        len: u32::from_le_bytes(len),
+        crc,
+    };
+    Ok((header, rest))
+}
+
+/// Decodes the `format` record at the front of `src`, reading straight from
+/// the borrowed bytes, and returns it with the number of bytes it occupies.
+///
+/// This is the one decode body of both formats. For v2 the CRC is checked
+/// over the id, length and value bytes before any value is accepted, so
+/// flipped bits anywhere in the record — including the id — surface as
+/// [`CodecError::ChecksumMismatch`], not as wrong data.
+pub fn decode_record_slice(
+    format: RecordFormat,
+    src: &[u8],
+) -> Result<(Record, usize), CodecError> {
+    let (Header { id, len, crc }, rest) = parse_header(format, src)?;
     if len > MAX_RECORD_ELEMS {
         return Err(CodecError::LengthOverflow(len));
     }
-    let body = 8 * u32_to_usize(len);
-    if buf.remaining() < body {
-        return Err(CodecError::Truncated {
-            needed: body,
-            available: buf.remaining(),
-        });
+    let body_len = 8 * u32_to_usize(len);
+    let body = rest.get(..body_len).ok_or(CodecError::Truncated {
+        needed: body_len,
+        available: rest.len(),
+    })?;
+    if let Some(stored) = crc {
+        let id_len = src.get(..RECORD_HEADER_BYTES).unwrap_or_default();
+        if record_crc(id_len, body) != stored {
+            // Do not decode values the checksum disowns.
+            return Err(CodecError::ChecksumMismatch { id });
+        }
     }
-    let mut values = Vec::with_capacity(u32_to_usize(len));
-    for index in 0..u32_to_usize(len) {
-        let v = buf.get_f64_le();
+    let (elems, _) = body.as_chunks::<8>();
+    let mut values = Vec::with_capacity(elems.len());
+    for (index, &elem) in elems.iter().enumerate() {
+        let v = f64::from_le_bytes(elem);
         if v.is_nan() {
             return Err(CodecError::NanElement { id, index });
         }
         values.push(v);
     }
-    Ok(Record { id, values })
+    Ok((Record { id, values }, format.header_bytes() + body_len))
+}
+
+/// Decodes one record in `format` from the front of `buf` (a wrapper over
+/// [`decode_record_slice`]). On success `buf` advances past the record; on
+/// [`CodecError::ChecksumMismatch`] it also steps over the record, whose
+/// framing is intact, so a stream can skip it deliberately. On any other
+/// error `buf` is left where it was.
+pub fn decode_record_fmt(format: RecordFormat, buf: &mut Bytes) -> Result<Record, CodecError> {
+    let decoded = decode_record_slice(format, buf);
+    let used = match &decoded {
+        Ok((_, used)) => *used,
+        Err(CodecError::ChecksumMismatch { .. }) => {
+            parse_header(format, buf).map_or(0, |(h, _)| format.encoded_len(u32_to_usize(h.len)))
+        }
+        Err(_) => 0,
+    };
+    buf.advance(used);
+    decoded.map(|(rec, _)| rec)
+}
+
+/// Decodes one v1 record from the front of `buf`, advancing it.
+pub fn decode_record(buf: &mut Bytes) -> Result<Record, CodecError> {
+    decode_record_fmt(RecordFormat::V1, buf)
 }
 
 /// Decodes one checksummed v2 record from the front of `buf`, advancing it.
-///
-/// The CRC is verified over the id, length and value bytes before any value
-/// is accepted, so flipped bits anywhere in the record — including the id —
-/// surface as [`CodecError::ChecksumMismatch`], not as wrong data.
 pub fn decode_record_v2(buf: &mut Bytes) -> Result<Record, CodecError> {
-    if buf.remaining() < RECORD_HEADER_BYTES_V2 {
-        return Err(CodecError::Truncated {
-            needed: RECORD_HEADER_BYTES_V2,
-            available: buf.remaining(),
-        });
-    }
-    // Keep the raw header bytes in view for the CRC before advancing.
-    let id_len_bytes = buf.slice(0..RECORD_HEADER_BYTES);
-    let id = buf.get_u64_le();
-    let len = buf.get_u32_le();
-    let stored_crc = buf.get_u32_le();
-    if len > MAX_RECORD_ELEMS {
-        return Err(CodecError::LengthOverflow(len));
-    }
-    let body = 8 * u32_to_usize(len);
-    if buf.remaining() < body {
-        return Err(CodecError::Truncated {
-            needed: body,
-            available: buf.remaining(),
-        });
-    }
-    let mut crc = Crc32::new();
-    crc.update(&id_len_bytes);
-    crc.update(&buf.slice(0..body));
-    if crc.finalize() != stored_crc {
-        // Do not decode values the checksum disowns.
-        buf.advance(body);
-        return Err(CodecError::ChecksumMismatch { id });
-    }
-    let mut values = Vec::with_capacity(u32_to_usize(len));
-    for index in 0..u32_to_usize(len) {
-        let v = buf.get_f64_le();
-        if v.is_nan() {
-            return Err(CodecError::NanElement { id, index });
-        }
-        values.push(v);
-    }
-    Ok(Record { id, values })
-}
-
-/// Decodes one record in `format` from the front of `buf`, advancing it.
-pub fn decode_record_fmt(format: RecordFormat, buf: &mut Bytes) -> Result<Record, CodecError> {
-    match format {
-        RecordFormat::V1 => decode_record(buf),
-        RecordFormat::V2 => decode_record_v2(buf),
-    }
+    decode_record_fmt(RecordFormat::V2, buf)
 }
 
 #[cfg(test)]
@@ -351,6 +386,47 @@ mod tests {
         assert_eq!(v2.len(), v1.len() + 4);
         assert_eq!(&v2[..12], &v1[..12]);
         assert_eq!(&v2[16..], &v1[12..]);
+    }
+
+    #[test]
+    fn v2_encoding_matches_the_piecewise_crc_byte_for_byte() {
+        // The encoder checksums the written bytes in one pass; the layout
+        // it must reproduce is the original one, whose CRC was fed the id,
+        // the length and then each value separately.
+        fn piecewise(id: u64, values: &[f64]) -> Vec<u8> {
+            let len = u32::try_from(values.len()).unwrap();
+            let mut crc = Crc32::new();
+            crc.update(&id.to_le_bytes());
+            crc.update(&len.to_le_bytes());
+            for v in values {
+                crc.update(&v.to_le_bytes());
+            }
+            let mut out = Vec::new();
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&len.to_le_bytes());
+            out.extend_from_slice(&crc.finalize().to_le_bytes());
+            for v in values {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            out
+        }
+        for n in 0..40usize {
+            let values: Vec<f64> = (0..n).map(|i| (i as f64 - 7.5) * 1.25e3).collect();
+            let id = 0x0102_0304_0506_0708u64.wrapping_mul(n as u64 + 1);
+            assert_eq!(
+                encode_record_to_bytes_v2(id, &values).to_vec(),
+                piecewise(id, &values),
+                "{n} values"
+            );
+            // Appending after existing bytes checksums only the new record.
+            let mut buf = BytesMut::new();
+            encode_record_v2(&mut buf, 1, &[2.0]);
+            encode_record_v2(&mut buf, id, &values);
+            assert_eq!(
+                &buf[RecordFormat::V2.encoded_len(1)..],
+                &piecewise(id, &values)[..]
+            );
+        }
     }
 
     #[test]

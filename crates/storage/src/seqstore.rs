@@ -16,7 +16,9 @@ use parking_lot::Mutex;
 
 use crate::buffer::{BufferPool, BufferStats};
 use crate::checksum::Crc32;
-use crate::codec::{decode_record_fmt, encode_record_fmt, CodecError, RecordFormat};
+use crate::codec::{
+    decode_record_slice, encode_record_fmt, parse_header, CodecError, RecordFormat,
+};
 use crate::convert::{in_page_usize, record_len_u32, u32_to_usize, usize_to_u64};
 use crate::cost::IoProfile;
 use crate::pager::{MemPager, Pager, PagerError};
@@ -264,11 +266,11 @@ impl<P: Pager> SequenceStore<P> {
         let format = store.format;
         let data_len = usize::try_from(data_bytes)
             .map_err(|_| StoreError::Corrupt("data extent exceeds address space"))?;
-        let mut raw = store.read_span(0, data_len)?;
+        let raw = store.read_span(0, data_len)?;
+        let mut rest = raw.as_slice();
         let mut offset = 0u64;
         for expected_id in 0..count {
-            let before = raw.remaining();
-            let rec = decode_record_fmt(format, &mut raw)?;
+            let (rec, used) = decode_record_slice(format, rest)?;
             if rec.id != expected_id {
                 return Err(StoreError::Corrupt("record id out of order"));
             }
@@ -276,7 +278,8 @@ impl<P: Pager> SequenceStore<P> {
                 offset,
                 len: record_len_u32(rec.values.len()),
             });
-            offset += usize_to_u64(before - raw.remaining());
+            rest = rest.get(used..).unwrap_or_default();
+            offset += usize_to_u64(used);
         }
         *store.io.lock() = IoProfile::default();
         Ok(store)
@@ -309,23 +312,24 @@ impl<P: Pager> SequenceStore<P> {
             if offset + header_need > data_end {
                 break;
             }
-            let mut head = match store.read_span(offset, format.header_bytes()) {
-                Ok(b) => b,
-                Err(_) => break,
+            let Some(len) = store
+                .read_span(offset, format.header_bytes())
+                .ok()
+                .and_then(|head| parse_header(format, &head).ok().map(|(h, _)| h.len))
+            else {
+                break;
             };
-            let _id = head.get_u64_le();
-            let len = head.get_u32_le();
             let need_bytes = format.encoded_len(u32_to_usize(len));
             let need = usize_to_u64(need_bytes);
             if len > crate::codec::MAX_RECORD_ELEMS || offset + need > data_end {
                 break;
             }
-            let mut raw = match store.read_span(offset, need_bytes) {
+            let raw = match store.read_span(offset, need_bytes) {
                 Ok(b) => b,
                 Err(_) => break,
             };
-            match decode_record_fmt(format, &mut raw) {
-                Ok(rec) if rec.id == expected_id => {
+            match decode_record_slice(format, &raw) {
+                Ok((rec, _)) if rec.id == expected_id => {
                     store.directory.push(DirEntry {
                         offset,
                         len: record_len_u32(rec.values.len()),
@@ -427,17 +431,14 @@ impl<P: Pager> SequenceStore<P> {
     pub fn get(&self, id: SeqId) -> Result<Vec<f64>, StoreError> {
         let e = self.dir(id)?;
         let bytes = self.format.encoded_len(u32_to_usize(e.len));
-        let mut raw = self.read_span(e.offset, bytes)?;
-        let rec = decode_record_fmt(self.format, &mut raw)?;
-        if rec.id != id {
-            return Err(StoreError::Corrupt("record id does not match directory"));
-        }
+        let raw = self.read_span(e.offset, bytes)?;
+        let values = self.decode_entry(id, &raw)?;
         let mut io = self.io.lock();
         io.random_requests += 1;
         io.random_page_reads +=
             span_pages(e.offset, usize_to_u64(bytes), usize_to_u64(self.page_size));
         drop(io);
-        Ok(rec.values)
+        Ok(values)
     }
 
     /// Sequential scan over every `(id, values)` pair, materialized.
@@ -452,33 +453,62 @@ impl<P: Pager> SequenceStore<P> {
     /// Streaming sequential scan: decodes one record at a time, holding at
     /// most one record plus one page in memory. Accounts one sequential pass
     /// over the whole data region, like [`SequenceStore::scan`].
+    ///
+    /// Pages are read into one window buffer and each record is decoded in
+    /// place from its bytes there; only the unread tail of the window moves
+    /// to the front when the next record needs more pages.
     pub fn scan_visit<F>(&self, mut visit: F) -> Result<(), StoreError>
     where
         F: FnMut(SeqId, Vec<f64>),
     {
-        let mut buf = BytesMut::new();
-        let mut page_buf = vec![0u8; self.page_size];
+        let mut window: Vec<u8> = Vec::with_capacity(2 * self.page_size);
+        let mut start = 0usize; // first unread byte of `window`
         let mut next_page = 1u64; // page 0 is the header
         let last_page = self.data_page(self.write_cursor.saturating_sub(1));
         for (idx, entry) in self.directory.iter().enumerate() {
             let need = self.format.encoded_len(u32_to_usize(entry.len));
-            while buf.len() < need {
-                if next_page > last_page {
-                    return Err(StoreError::Corrupt("directory points past the data region"));
+            if window.len() - start < need {
+                window.drain(..start);
+                start = 0;
+                while window.len() < need {
+                    if next_page > last_page {
+                        return Err(StoreError::Corrupt("directory points past the data region"));
+                    }
+                    let filled = window.len();
+                    window.resize(filled + self.page_size, 0);
+                    self.pool.read(next_page, window.split_at_mut(filled).1)?;
+                    next_page += 1;
                 }
-                self.pool.read(next_page, &mut page_buf)?;
-                buf.extend_from_slice(&page_buf);
-                next_page += 1;
             }
-            let mut record = buf.split_to(need).freeze();
-            let rec = decode_record_fmt(self.format, &mut record)?;
-            if rec.id != usize_to_u64(idx) {
-                return Err(StoreError::Corrupt("record id does not match directory"));
-            }
-            visit(rec.id, rec.values);
+            let id = usize_to_u64(idx);
+            let record = window.get(start..start + need).unwrap_or_default();
+            visit(id, self.decode_entry(id, record)?);
+            start += need;
         }
         self.io.lock().sequential_pages_scanned += self.data_pages();
         Ok(())
+    }
+
+    /// Decodes record `id` from `raw`, the exact span the directory gives
+    /// it. The directory fixed that length, so a header that disagrees with
+    /// it — even one claiming more bytes than the span holds — is damage,
+    /// not a short read.
+    fn decode_entry(&self, id: SeqId, raw: &[u8]) -> Result<Vec<f64>, StoreError> {
+        let (rec, used) = decode_record_slice(self.format, raw).map_err(|e| match e {
+            CodecError::Truncated { .. } => {
+                StoreError::Corrupt("record length does not match directory")
+            }
+            e => StoreError::Codec(e),
+        })?;
+        if used != raw.len() {
+            return Err(StoreError::Corrupt(
+                "record length does not match directory",
+            ));
+        }
+        if rec.id != id {
+            return Err(StoreError::Corrupt("record id does not match directory"));
+        }
+        Ok(rec.values)
     }
 
     /// Takes and resets the accumulated I/O profile.
@@ -558,22 +588,25 @@ impl<P: Pager> SequenceStore<P> {
         1 + offset / usize_to_u64(self.page_size)
     }
 
-    fn read_span(&self, offset: u64, len: usize) -> Result<Bytes, StoreError> {
+    /// Reads the data-region bytes `[offset, offset + len)`: the pages it
+    /// touches go straight into one buffer, which is then trimmed to the span.
+    fn read_span(&self, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
         if len == 0 {
-            return Ok(Bytes::new());
+            return Ok(Vec::new());
         }
         let ps = usize_to_u64(self.page_size);
         let first = self.data_page(offset);
         let last = self.data_page(offset + usize_to_u64(len) - 1);
-        let span = usize::try_from((last - first + 1) * ps).unwrap_or(0);
-        let mut raw = BytesMut::with_capacity(span);
-        let mut page_buf = vec![0u8; self.page_size];
-        for p in first..=last {
-            self.pool.read(p, &mut page_buf)?;
-            raw.extend_from_slice(&page_buf);
+        let span = usize::try_from((last - first + 1) * ps)
+            .map_err(|_| StoreError::Corrupt("span exceeds address space"))?;
+        let mut raw = vec![0u8; span];
+        for (p, frame) in (first..=last).zip(raw.chunks_exact_mut(self.page_size)) {
+            self.pool.read(p, frame)?;
         }
         let start = in_page_usize(offset % ps);
-        Ok(raw.freeze().slice(start..start + len))
+        raw.truncate(start + len);
+        raw.drain(..start);
+        Ok(raw)
     }
 
     fn write_span(&mut self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
