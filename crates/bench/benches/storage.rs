@@ -4,8 +4,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use tw_core::distance::DtwKind;
+use tw_core::search::{EngineOpts, NaiveScan, SearchEngine};
 use tw_storage::{crc32, create_sequence_file, SequenceStore};
-use tw_workload::{generate_random_walks, RandomWalkConfig};
+use tw_workload::{generate_queries, generate_random_walks, RandomWalkConfig};
 
 fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("storage");
@@ -78,5 +80,53 @@ fn bench_file_scan(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(benches, bench_store, bench_crc32, bench_file_scan);
+/// Naive-Scan end to end over a file-backed 10 000 × 128 store whose pool
+/// holds every page: the scan decodes records and the DTW kernel verifies
+/// them batch by batch. At two threads each batch fans out over two
+/// workers, so the pair of cases measures what that fan-out costs.
+fn bench_file_naive_scan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("storage");
+    let data = generate_random_walks(&RandomWalkConfig::paper(10_000, 128), 13);
+    let query = generate_queries(&data, 1, 14).remove(0);
+    let dir = std::env::temp_dir().join(format!("tw-bench-naive-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("naive.tws");
+    let mut store = create_sequence_file(&path, 1024, 256).unwrap();
+    for s in &data {
+        store.append(s).unwrap();
+    }
+    store.flush().unwrap();
+    drop(store);
+    let pool = 11_000;
+    let (store, _) = tw_storage::open_sequence_file(&path, 1024, pool).unwrap();
+    assert!(
+        store.data_pages() < pool as u64,
+        "pool must hold the whole store"
+    );
+    for threads in [1usize, 2] {
+        let opts = EngineOpts::new().kind(DtwKind::MaxAbs).threads(threads);
+        group.bench_with_input(
+            BenchmarkId::new("naive_scan_file_10k_x128", format!("threads{threads}")),
+            &opts,
+            |b, opts| {
+                b.iter(|| {
+                    black_box(NaiveScan.range_search(&store, &query, 0.2, opts).unwrap())
+                        .matches
+                        .len()
+                })
+            },
+        );
+    }
+    group.finish();
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+criterion_group!(
+    benches,
+    bench_store,
+    bench_crc32,
+    bench_file_scan,
+    bench_file_naive_scan
+);
 criterion_main!(benches);

@@ -38,7 +38,6 @@ pub fn dtw_banded(s: &[f64], q: &[f64], kind: DtwKind, w: usize) -> DtwResult {
 #[allow(clippy::float_cmp)] // Tests assert exact float round-trips and identities on purpose.
 mod tests {
     use super::super::dtw;
-    use super::super::dtw::min3;
     use super::*;
 
     const KINDS: [DtwKind; 3] = [DtwKind::SumAbs, DtwKind::SumSquared, DtwKind::MaxAbs];
@@ -133,10 +132,13 @@ mod tests {
                 .take(width);
             for (qv, (up, cell)) in band {
                 let gap = sv - qv;
+                // Spelled with `f64::min`/`f64::max`, independent of the
+                // kernel's compare-selects.
+                let best = up.min(left).min(up_left);
                 let val = match kind {
-                    DtwKind::SumAbs => gap.abs() + min3(*up, left, up_left),
-                    DtwKind::SumSquared => gap * gap + min3(*up, left, up_left),
-                    DtwKind::MaxAbs => gap.abs().max(min3(*up, left, up_left)),
+                    DtwKind::SumAbs => gap.abs() + best,
+                    DtwKind::SumSquared => gap * gap + best,
+                    DtwKind::MaxAbs => gap.abs().max(best),
                 };
                 *cell = val;
                 up_left = *up;

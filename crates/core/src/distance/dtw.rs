@@ -73,12 +73,39 @@ fn threshold(kind: DtwKind, epsilon: f64) -> f64 {
     }
 }
 
-/// Branch-free three-way minimum: two `f64::min` calls, which lower to
-/// hardware min instructions instead of compare-and-branch — the DP inner
-/// loop stays free of unpredictable branches.
+/// Two-way minimum as a compare-select, which lowers to one hardware min
+/// (`minsd` on x86-64). `f64::min` also lowers to it, but adds the
+/// instructions that return the non-NaN operand. For NaN-free operands the
+/// two agree bit for bit (DP values are never `-0.0`, so there is no
+/// signed-zero tie either), and the kernel never sees a NaN: queries are
+/// validated ([`crate::error::validate_query`]) and stored records reject
+/// NaN. With a NaN operand this returns `b`.
 #[inline(always)]
-pub(super) fn min3(a: f64, b: f64, c: f64) -> f64 {
-    a.min(b).min(c)
+fn min2(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Two-way maximum as a compare-select (one `maxsd`). A NaN `a` falls
+/// through to `b`, exactly as `a.max(b)` does, so the L∞ step
+/// `max2(|gap|, best)` equals the `f64::max` spelling for any input.
+#[inline(always)]
+fn max2(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Branch-free three-way minimum: two compare-selects ([`min2`]), each one
+/// hardware min instruction, so the DP inner loop carries no branches.
+#[inline(always)]
+fn min3(a: f64, b: f64, c: f64) -> f64 {
+    min2(min2(a, b), c)
 }
 
 /// Dispatches `kind` to a monomorphized copy of a DP kernel: each arm hands
@@ -96,7 +123,7 @@ macro_rules! dispatch_kind {
                 $call
             }
             DtwKind::MaxAbs => {
-                let $step = |gap: f64, best: f64| gap.abs().max(best);
+                let $step = |gap: f64, best: f64| max2(gap.abs(), best);
                 $call
             }
         }
@@ -201,7 +228,8 @@ fn kernel<const ABANDON: bool>(
 ///
 /// `up_left` = dp[i-1][j-1], `up` = dp[i-1][j], `left` = dp[i][j-1].
 /// `left` is the loop-carried value, so it goes last into `min3`:
-/// `up.min(up_left)` then does not wait on the previous cell.
+/// `min2(up, up_left)` then does not wait on the previous cell, leaving one
+/// min and the recurrence's add or max on the loop-carried chain.
 ///
 /// Kept out of line so the register allocator sees only this loop's state;
 /// inlined into [`kernel`] the band bounds were recomputed on every cell.
@@ -222,7 +250,7 @@ fn band_step<const ABANDON: bool>(
         left = v;
         *cell = v;
         if ABANDON {
-            step_min = step_min.min(v);
+            step_min = min2(v, step_min);
         }
     }
     step_min
@@ -602,6 +630,17 @@ mod tests {
         assert!(d100 > 5.0 * d10);
     }
 
+    /// The recurrence spelled with `f64::min`/`f64::max`, independent of the
+    /// kernel's compare-selects and closures, for the oracles below.
+    fn reference_cell(kind: DtwKind, gap: f64, up: f64, up_left: f64, left: f64) -> f64 {
+        let best = up.min(up_left).min(left);
+        match kind {
+            DtwKind::SumAbs => gap.abs() + best,
+            DtwKind::SumSquared => gap * gap + best,
+            DtwKind::MaxAbs => gap.abs().max(best),
+        }
+    }
+
     /// The column-at-a-time unconstrained decision DP written out long-hand,
     /// kept as a test oracle: the kernel must reproduce its verdict, cell
     /// ledger and flags bit-for-bit for every recurrence kind.
@@ -633,7 +672,7 @@ mod tests {
             let mut left = f64::INFINITY;
             let mut col_min = f64::INFINITY;
             for (&r, (&up, cell)) in rows.iter().zip(prev.iter().zip(cur.iter_mut())) {
-                let v = combine(kind, r - c, min3(up, up_left, left));
+                let v = reference_cell(kind, r - c, up, up_left, left);
                 up_left = up;
                 left = v;
                 col_min = col_min.min(v);
@@ -705,6 +744,136 @@ mod tests {
                         assert_eq!(got.cancelled, want.cancelled);
                     }
                 }
+            }
+        }
+    }
+
+    /// A full-fill banded decision DP (each step clears its whole row, then
+    /// fills its band), kept as the oracle of the `dtw_decide` sweep. Band
+    /// `None` is the unconstrained orientation — the longer sequence drives
+    /// the steps under a band as wide as it — and `Some(w)` steps over `s`
+    /// with `q` in the rows.
+    fn reference_outcome(
+        s: &[f64],
+        q: &[f64],
+        kind: DtwKind,
+        epsilon: f64,
+        band: Option<usize>,
+        abandon: bool,
+    ) -> DtwOutcome {
+        let (outer, inner, w) = match band {
+            None if s.len() <= q.len() => (q, s, q.len()),
+            None => (s, q, s.len()),
+            Some(w) => (s, q, w),
+        };
+        let (n, m) = (outer.len(), inner.len());
+        let w = w.max(n.abs_diff(m));
+        let thr = match kind {
+            DtwKind::SumSquared => epsilon * epsilon,
+            _ => epsilon,
+        };
+        let mut prev = vec![f64::INFINITY; m + 1];
+        let mut cur = vec![f64::INFINITY; m + 1];
+        prev[0] = 0.0;
+        let mut cells = 0u64;
+        for i in 1..=n {
+            let center = i * m / n;
+            let (lo, hi) = (center.saturating_sub(w).max(1), (center + w).min(m));
+            cur.fill(f64::INFINITY);
+            let mut step_min = f64::INFINITY;
+            for j in lo..=hi {
+                let gap = outer[i - 1] - inner[j - 1];
+                cur[j] = reference_cell(kind, gap, prev[j], prev[j - 1], cur[j - 1]);
+                step_min = step_min.min(cur[j]);
+                cells += 1;
+            }
+            std::mem::swap(&mut prev, &mut cur);
+            if abandon && step_min > thr {
+                return DtwOutcome {
+                    within: None,
+                    cells,
+                    early_abandoned: true,
+                    cancelled: false,
+                };
+            }
+        }
+        let raw = prev[m];
+        let d = match kind {
+            DtwKind::SumSquared => raw.sqrt(),
+            _ => raw,
+        };
+        DtwOutcome {
+            within: (d <= epsilon).then_some(d),
+            cells,
+            early_abandoned: false,
+            cancelled: false,
+        }
+    }
+
+    /// SplitMix64: a seeded stream for the sweep below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A seeded sequence of 1..=20 values; `specials` (±∞ or NaN) replace
+    /// about one value in eight.
+    fn sweep_seq(state: &mut u64, specials: &[f64]) -> Vec<f64> {
+        let len = 1 + (splitmix(state) % 20) as usize;
+        (0..len)
+            .map(|_| {
+                let r = splitmix(state);
+                match specials.get((r % 8) as usize) {
+                    Some(&v) if r % 64 < 8 => v,
+                    _ => ((r >> 11) % 2000) as f64 / 200.0 - 5.0,
+                }
+            })
+            .collect()
+    }
+
+    fn assert_decide_matches(s: &[f64], q: &[f64], kind: DtwKind, eps: f64, band: Option<usize>) {
+        for abandon in [false, true] {
+            let got = dtw_decide(s, q, kind, eps, band, abandon, &CancelToken::unlimited());
+            let want = reference_outcome(s, q, kind, eps, band, abandon);
+            let ctx = format!("{kind:?} eps={eps} band={band:?} abandon={abandon} s={s:?} q={q:?}");
+            assert_eq!(
+                got.within.map(f64::to_bits),
+                want.within.map(f64::to_bits),
+                "{ctx}"
+            );
+            assert_eq!(got.cells, want.cells, "{ctx}");
+            assert_eq!(got.early_abandoned, want.early_abandoned, "{ctx}");
+            assert_eq!(got.cancelled, want.cancelled, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn kernel_sweep_matches_independent_oracle() {
+        // Finite queries against stored values that include ±∞: every kind,
+        // unconstrained and banded, abandon on and off.
+        let mut state = 0x5eed_d7f0_u64;
+        for _ in 0..400 {
+            let s = sweep_seq(&mut state, &[f64::INFINITY, f64::NEG_INFINITY]);
+            let q = sweep_seq(&mut state, &[]);
+            let eps = [0.0, 0.5, 2.0, 8.0, 1e9][(splitmix(&mut state) % 5) as usize];
+            for kind in KINDS {
+                for band in [None, Some(0), Some(1), Some(3), Some(25)] {
+                    assert_decide_matches(&s, &q, kind, eps, band);
+                }
+            }
+        }
+        // Under L∞ the compare-select max lets a NaN gap fall through to the
+        // best predecessor exactly as `f64::max` does, so even NaN elements
+        // (which validation keeps out of every query and store) agree.
+        for _ in 0..200 {
+            let s = sweep_seq(&mut state, &[f64::NAN, f64::INFINITY]);
+            let q = sweep_seq(&mut state, &[f64::NAN]);
+            let eps = [0.0, 0.5, 2.0, 1e9][(splitmix(&mut state) % 4) as usize];
+            for band in [None, Some(1), Some(4)] {
+                assert_decide_matches(&s, &q, DtwKind::MaxAbs, eps, band);
             }
         }
     }

@@ -91,12 +91,26 @@ impl From<PersistError> for TwError {
     }
 }
 
-/// Validates a query tolerance: finite and non-negative.
-pub fn validate_tolerance(epsilon: f64) -> Result<(), TwError> {
-    if epsilon.is_finite() && epsilon >= 0.0 {
-        Ok(())
-    } else {
-        Err(TwError::InvalidTolerance(epsilon))
+/// Validates a range query at the API boundary: the tolerance must be
+/// finite and non-negative ([`TwError::InvalidTolerance`]), and every query
+/// element finite ([`TwError::InvalidElement`] names the first that is not).
+pub fn validate_query(query: &[f64], epsilon: f64) -> Result<(), TwError> {
+    if !(epsilon.is_finite() && epsilon >= 0.0) {
+        return Err(TwError::InvalidTolerance(epsilon));
+    }
+    validate_elements(query)
+}
+
+/// Rejects the first NaN or ±∞ element with [`TwError::InvalidElement`].
+///
+/// This is what keeps NaN out of the DTW kernel, whose compare-select
+/// min/max agree with `f64::min`/`f64::max` only on NaN-free operands:
+/// stored records already reject NaN, and a finite query against a stored
+/// ±∞ gives ±∞ gaps, never `∞ - ∞`.
+pub(crate) fn validate_elements(values: &[f64]) -> Result<(), TwError> {
+    match values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+        Some((index, &value)) => Err(TwError::InvalidElement { index, value }),
+        None => Ok(()),
     }
 }
 
@@ -106,11 +120,29 @@ mod tests {
 
     #[test]
     fn tolerance_validation() {
-        assert!(validate_tolerance(0.0).is_ok());
-        assert!(validate_tolerance(1.5).is_ok());
-        assert!(validate_tolerance(-0.1).is_err());
-        assert!(validate_tolerance(f64::NAN).is_err());
-        assert!(validate_tolerance(f64::INFINITY).is_err());
+        assert!(validate_query(&[1.0], 0.0).is_ok());
+        assert!(validate_query(&[1.0], 1.5).is_ok());
+        assert!(validate_query(&[1.0], -0.1).is_err());
+        assert!(validate_query(&[1.0], f64::NAN).is_err());
+        assert!(validate_query(&[1.0], f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn query_element_validation() {
+        assert!(validate_query(&[], 0.5).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            match validate_query(&[1.0, 2.0, bad, f64::NAN], 0.5) {
+                Err(TwError::InvalidElement { index: 2, value }) => {
+                    assert_eq!(value.to_bits(), bad.to_bits());
+                }
+                other => panic!("{bad}: {other:?}"),
+            }
+        }
+        // A bad tolerance is reported before a bad element.
+        assert!(matches!(
+            validate_query(&[f64::NAN], -1.0),
+            Err(TwError::InvalidTolerance(_))
+        ));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use tw_rtree::{Point, RTree, RTreeConfig, SplitAlgorithm};
 use tw_storage::{Pager, SeqId, SequenceStore};
 
 use crate::distance::{dtw, DtwKind};
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, TwError};
 use crate::govern::termination_of;
 use crate::search::verify::VerifyJob;
 use crate::search::{
@@ -104,7 +104,7 @@ impl<P: Pager> SearchEngine<P> for FastMapSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        validate_tolerance(epsilon)?;
+        validate_query(query, epsilon)?;
         if query.is_empty() {
             return Err(TwError::EmptySequence);
         }

@@ -10,7 +10,7 @@
 
 use tw_storage::{HardwareModel, Pager, SequenceStore};
 
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, TwError};
 use crate::feature::FeatureVector;
 use crate::search::{EngineOpts, LbScan, SearchEngine, SearchOutcome, TwSimSearch};
 
@@ -119,7 +119,7 @@ impl<P: Pager> SearchEngine<P> for HybridSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        validate_tolerance(epsilon)?;
+        validate_query(query, epsilon)?;
         let (plan, probe_stats) = self.choose_plan(store, query, epsilon, &opts.hardware)?;
 
         // Either continuation reports the planner's probe traversal in its

@@ -11,7 +11,7 @@ use tw_rtree::KnnMetric;
 use tw_storage::{Pager, SeqId, SequenceStore};
 
 use crate::distance::{dtw, DtwKind};
-use crate::error::TwError;
+use crate::error::{validate_elements, TwError};
 use crate::feature::FeatureVector;
 use crate::govern::{termination_of, Termination};
 use crate::search::{EngineOpts, SearchStats, TwSimSearch};
@@ -69,6 +69,7 @@ impl TwSimSearch {
         if query.is_empty() {
             return Err(TwError::EmptySequence);
         }
+        validate_elements(query)?;
         let started = wall_now();
         let token = opts.arm_budget();
         let _governed = store.govern_scope(&token);

@@ -9,7 +9,7 @@
 use tw_storage::{Pager, SequenceStore};
 
 use crate::bound::yi_value;
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, TwError};
 use crate::govern::termination_of;
 use crate::search::verify::VerifyJob;
 use crate::search::{EngineHealth, EngineOpts, SearchEngine, SearchOutcome, SearchStats};
@@ -31,7 +31,7 @@ impl<P: Pager> SearchEngine<P> for LbScan {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        validate_tolerance(epsilon)?;
+        validate_query(query, epsilon)?;
         let started = wall_now();
         let token = opts.arm_budget();
         let _governed = store.govern_scope(&token);
@@ -42,51 +42,36 @@ impl<P: Pager> SearchEngine<P> for LbScan {
             db_size: store.len(),
             ..Default::default()
         };
-        // Filter stage: the cheap linear lower bound prunes during the scan;
-        // survivors are kept resident for verification. Every scanned row
-        // enters the accounting as a candidate; LB rejections (including
-        // empty rows, which cannot match a non-empty query) count as pruned
-        // by `D_lb`. With a cascade attached the scan admits every row and
-        // defers all pruning to the cascade's tiers — the same bound runs
-        // there (as the Yi tier) plus whatever tighter tiers the spec adds,
-        // each counted separately.
+        // Filter stage: the cheap linear lower bound prunes during the scan,
+        // and survivors are verified batch by batch as the scan goes. Every
+        // scanned row enters the accounting as a candidate; LB rejections
+        // (including empty rows, which cannot match a non-empty query) count
+        // as pruned by `D_lb`. With a cascade attached the scan admits every
+        // row and defers all pruning to the cascade's tiers — the same bound
+        // runs there (as the Yi tier) plus whatever tighter tiers the spec
+        // adds, each counted separately.
         let scan_filter = opts.cascade.is_none();
-        let mut candidates = Vec::new();
         let mut pruned = 0u64;
-        let mut skipped = 0u64;
-        counters.time(Phase::Filter, || {
-            store.scan_visit(|id, values| {
-                // A tripped budget turns the rest of the scan into skips: the
-                // rows are still read (the scan is one pass), but no filter
-                // CPU is spent and nothing else is admitted to verification.
-                if token.cancelled() {
-                    skipped += 1;
-                    return;
-                }
-                if scan_filter {
-                    stats.lb_evaluations += 1;
-                    stats.filter_ops += (values.len() + query.len()) as u64;
-                    if values.is_empty() || yi_value(&values, query, opts.kind) > epsilon {
-                        pruned += 1;
-                        return;
-                    }
-                }
-                let _ = token
-                    .charge_candidate_bytes((std::mem::size_of::<f64>() * values.len()) as u64);
-                candidates.push((id, values));
-            })
-        })?;
-        counters.add_candidates(pruned + skipped + candidates.len() as u64);
-        counters.add_pruned_lb_yi(pruned);
-        counters.add_skipped_unverified(skipped);
-        stats.candidates = candidates.len();
-        stats.io = store.take_io();
-        counters.add_pager_reads(stats.io.total_pages());
         let cascade = opts.arm_cascade(query);
+        let admit = |values: &[f64]| {
+            if !scan_filter {
+                return true;
+            }
+            stats.lb_evaluations += 1;
+            stats.filter_ops += (values.len() + query.len()) as u64;
+            if values.is_empty() || yi_value(values, query, opts.kind) > epsilon {
+                pruned += 1;
+                return false;
+            }
+            true
+        };
         let (matches, verify_stats) =
             VerifyJob::new(query, epsilon, opts.kind, opts.verify, opts.threads)
                 .with_cascade(cascade.as_deref())
-                .run(&candidates, &counters, &token);
+                .run_scan(store, Phase::Filter, admit, &counters, &token)?;
+        counters.add_pruned_lb_yi(pruned);
+        stats.io = store.take_io();
+        counters.add_pager_reads(stats.io.total_pages());
         stats.accumulate(&verify_stats);
         stats.cpu_time = started.elapsed();
         counters.add_checksum_retries(store.checksum_retries() - retries_before);

@@ -42,7 +42,7 @@ use tw_storage::{
 };
 
 use crate::distance::dtw;
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_elements, validate_query, TwError};
 use crate::govern::{termination_of, CancelToken};
 use crate::search::{
     EngineHealth, EngineOpts, KnnMatch, KnnOutcome, ResilientSearch, SearchEngine, SearchOutcome,
@@ -295,7 +295,7 @@ impl<S: Pager + Send> ShardedSearch<S> {
         if query.is_empty() {
             return Err(TwError::EmptySequence);
         }
-        validate_tolerance(epsilon)?;
+        validate_query(query, epsilon)?;
         let started = wall_now();
         let token = opts.arm_budget();
         let results = self.fan_out(opts.threads, |shard| {
@@ -346,6 +346,7 @@ impl<S: Pager + Send> ShardedSearch<S> {
         if query.is_empty() {
             return Err(TwError::EmptySequence);
         }
+        validate_elements(query)?;
         let started = wall_now();
         let token = opts.arm_budget();
         let results = self.fan_out(opts.threads, |shard| {

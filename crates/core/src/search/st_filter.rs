@@ -15,7 +15,7 @@ use tw_storage::{Pager, SequenceStore};
 use tw_suffix::{CategoryMethod, StFilter};
 
 use crate::distance::{dtw_decide, DtwKind};
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, TwError};
 use crate::govern::termination_of;
 use crate::search::subsequence::SubsequenceOutcome;
 use crate::search::verify::VerifyJob;
@@ -94,7 +94,7 @@ impl StFilterSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SubsequenceOutcome, TwError> {
-        validate_tolerance(epsilon)?;
+        validate_query(query, epsilon)?;
         if query.is_empty() {
             return Err(TwError::EmptySequence);
         }
@@ -214,7 +214,7 @@ impl<P: Pager> SearchEngine<P> for StFilterSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        validate_tolerance(epsilon)?;
+        validate_query(query, epsilon)?;
         if query.is_empty() {
             return Err(TwError::EmptySequence);
         }

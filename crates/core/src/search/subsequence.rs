@@ -13,7 +13,7 @@ use tw_rtree::{Point, RTree};
 use tw_storage::{Pager, SeqId, SequenceStore};
 
 use crate::distance::{dtw_decide, DtwKind};
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, TwError};
 use crate::feature::FeatureVector;
 use crate::govern::{termination_of, Termination};
 use crate::search::{EngineOpts, SearchStats, TwSimSearch};
@@ -182,7 +182,7 @@ impl SubsequenceIndex {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SubsequenceOutcome, TwError> {
-        validate_tolerance(epsilon)?;
+        validate_query(query, epsilon)?;
         if query.is_empty() {
             return Err(TwError::EmptySequence);
         }

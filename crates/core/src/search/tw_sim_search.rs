@@ -17,7 +17,7 @@ use std::path::Path;
 use tw_rtree::{read_tree_file, write_tree_file, Point, RTree, RTreeConfig, SplitAlgorithm};
 use tw_storage::{Pager, SeqId, SequenceStore};
 
-use crate::error::{validate_tolerance, TwError};
+use crate::error::{validate_query, TwError};
 use crate::feature::FeatureVector;
 use crate::govern::termination_of;
 use crate::search::verify::VerifyJob;
@@ -192,7 +192,7 @@ impl<P: Pager> SearchEngine<P> for TwSimSearch {
         epsilon: f64,
         opts: &EngineOpts,
     ) -> Result<SearchOutcome, TwError> {
-        validate_tolerance(epsilon)?;
+        validate_query(query, epsilon)?;
         if query.is_empty() {
             return Err(TwError::EmptySequence);
         }

@@ -5,7 +5,7 @@
 //! invariants are enforced at construction so every downstream comparison is
 //! a total order and feature extraction is well defined.
 
-use crate::error::TwError;
+use crate::error::{validate_elements, TwError};
 
 /// A validated numeric sequence.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,11 +23,7 @@ impl Sequence {
         if values.is_empty() {
             return Err(TwError::EmptySequence);
         }
-        for (i, &v) in values.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(TwError::InvalidElement { index: i, value: v });
-            }
-        }
+        validate_elements(&values)?;
         Ok(Self { values })
     }
 
